@@ -1,15 +1,9 @@
-"""Hot numeric kernels with two interchangeable backends, plus BLAS tuning.
+"""Hot numeric kernels in numpy, plus BLAS tuning.
 
-Every kernel exists twice: a pure-numpy implementation (``*_numpy``) and a
-numba ``@njit`` implementation (``*_numba``, present only when numba imports).
-The module-level names (``rbf_cross`` etc.) are bound once at import time:
-numba when available, unless the environment variable ``DISTREL_NUMBA`` is set
-to ``0``/``off``/``false``/``numpy``.
-
-The warp and streak kernels use identical floating-point expression trees in
-both backends, so their outputs are bit-identical. The pairwise kernels use a
-BLAS formulation on the numpy path and may differ from the loop formulation at
-machine-epsilon level.
+The pairwise kernels use the (|a|^2 + |b|^2) - 2ab expansion so the inner
+product runs in BLAS. The image kernels (bilinear affine warp, rain-streak
+rendering) work on one (H, W, C) image at a time. ``single_threaded_blas``
+pins BLAS to one thread for the tight refit/predict loops.
 """
 
 import contextlib
@@ -19,21 +13,9 @@ import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-_ENV_FLAG = os.environ.get("DISTREL_NUMBA", "").strip().lower()
-USE_NUMBA = HAS_NUMBA and _ENV_FLAG not in {"0", "off", "false", "no", "numpy"}
-
-
-def backend() -> str:
-    """Name of the backend the public kernel names are bound to."""
-    return "numba" if USE_NUMBA else "numpy"
-
+# Always False: every kernel here is plain numpy. Its only reader is the
+# machine line that perfbench/run.py prints with each benchmark run.
+HAS_NUMBA = False
 
 try:
     from threadpoolctl import threadpool_limits as _threadpool_limits
@@ -124,7 +106,7 @@ def single_threaded_blas():
 # Pairwise kernels
 # ---------------------------------------------------------------------------
 
-def rbf_cross_numpy(x, z, lengthscales, variance):
+def rbf_cross(x, z, lengthscales, variance):
     """Squared-exponential cross-kernel matrix, shape (len(x), len(z)).
 
     Uses the (|a|^2 + |b|^2) - 2ab expansion so the inner product runs in BLAS;
@@ -145,7 +127,7 @@ def rbf_cross_numpy(x, z, lengthscales, variance):
     return sq
 
 
-def pairwise_sq_dists_numpy(a, b):
+def pairwise_sq_dists(a, b):
     """Squared Euclidean distances, shape (len(a), len(b)), clamped >= 0."""
     sq = (
         np.sum(a * a, axis=1)[:, None]
@@ -160,7 +142,7 @@ def pairwise_sq_dists_numpy(a, b):
 # Image kernels
 # ---------------------------------------------------------------------------
 
-def affine_bilinear_warp_numpy(img, m00, m01, m02, m10, m11, m12, fill):
+def affine_bilinear_warp(img, m00, m01, m02, m10, m11, m12, fill):
     """Inverse-mapped affine warp with bilinear interpolation.
 
     ``img`` is (H, W, C) float64. For each destination pixel (r, c) the source
@@ -197,7 +179,7 @@ def affine_bilinear_warp_numpy(img, m00, m01, m02, m10, m11, m12, fill):
     return (1.0 - fy3) * top + fy3 * bot
 
 
-def render_streaks_numpy(img, xs, ys, lengths, angles_deg, value, alpha):
+def render_streaks(img, xs, ys, lengths, angles_deg, value, alpha):
     """Alpha-blend anti-aliased bright line segments into ``img`` in place.
 
     Streak i starts at (xs[i], ys[i]) and runs lengths[i] pixels at
@@ -235,138 +217,3 @@ def render_streaks_numpy(img, xs, ys, lengths, angles_deg, value, alpha):
         patch = img[r_lo : r_hi + 1, c_lo : c_hi + 1]
         img[r_lo : r_hi + 1, c_lo : c_hi + 1] = patch * (1.0 - a) + value * a
     return img
-
-
-# ---------------------------------------------------------------------------
-# Numba twins
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-    # All kernels are single-threaded on purpose: parallel launches on the
-    # workqueue threading layer cost milliseconds and fight OpenBLAS for the
-    # two cores this targets, losing more than the loops gain.
-
-    @njit(cache=True)
-    def rbf_cross_numba(x, z, lengthscales, variance):
-        n, d = x.shape
-        m = z.shape[0]
-        out = np.empty((n, m))
-        for i in range(n):
-            for j in range(m):
-                s = 0.0
-                for k in range(d):
-                    t = (x[i, k] - z[j, k]) / lengthscales[k]
-                    s += t * t
-                out[i, j] = variance * math.exp(-0.5 * s)
-        return out
-
-    @njit(cache=True)
-    def pairwise_sq_dists_numba(a, b):
-        n, d = a.shape
-        m = b.shape[0]
-        out = np.empty((n, m))
-        for i in range(n):
-            for j in range(m):
-                s = 0.0
-                for k in range(d):
-                    t = a[i, k] - b[j, k]
-                    s += t * t
-                out[i, j] = s
-        return out
-
-    @njit(cache=True)
-    def affine_bilinear_warp_numba(img, m00, m01, m02, m10, m11, m12, fill):
-        h, w, ch = img.shape
-        out = np.empty_like(img)
-        for r in range(h):
-            for c in range(w):
-                sx = m00 * c + m01 * r + m02
-                sy = m10 * c + m11 * r + m12
-                x0 = math.floor(sx)
-                y0 = math.floor(sy)
-                fx = sx - x0
-                fy = sy - y0
-                x0i = int(x0)
-                y0i = int(y0)
-                x1i = x0i + 1
-                y1i = y0i + 1
-                for k in range(ch):
-                    if 0 <= y0i < h and 0 <= x0i < w:
-                        p00 = img[y0i, x0i, k]
-                    else:
-                        p00 = fill
-                    if 0 <= y0i < h and 0 <= x1i < w:
-                        p01 = img[y0i, x1i, k]
-                    else:
-                        p01 = fill
-                    if 0 <= y1i < h and 0 <= x0i < w:
-                        p10 = img[y1i, x0i, k]
-                    else:
-                        p10 = fill
-                    if 0 <= y1i < h and 0 <= x1i < w:
-                        p11 = img[y1i, x1i, k]
-                    else:
-                        p11 = fill
-                    top = (1.0 - fx) * p00 + fx * p01
-                    bot = (1.0 - fx) * p10 + fx * p11
-                    out[r, c, k] = (1.0 - fy) * top + fy * bot
-        return out
-
-    @njit(cache=True)
-    def render_streaks_numba(img, xs, ys, lengths, angles_deg, value, alpha):
-        h, w, ch = img.shape
-        for i in range(xs.shape[0]):
-            x0 = xs[i]
-            y0 = ys[i]
-            length = lengths[i]
-            ang = angles_deg[i] * math.pi / 180.0
-            dx = math.cos(ang)
-            dy = math.sin(ang)
-            x1 = x0 + length * dx
-            y1 = y0 + length * dy
-            r_lo = max(int(math.floor(min(y0, y1))) - 1, 0)
-            r_hi = min(int(math.ceil(max(y0, y1))) + 1, h - 1)
-            c_lo = max(int(math.floor(min(x0, x1))) - 1, 0)
-            c_hi = min(int(math.ceil(max(x0, x1))) + 1, w - 1)
-            if r_lo > r_hi or c_lo > c_hi:
-                continue
-            for r in range(r_lo, r_hi + 1):
-                for c in range(c_lo, c_hi + 1):
-                    t = (c - x0) * dx + (r - y0) * dy
-                    t = min(max(t, 0.0), length)
-                    ex = c - (x0 + t * dx)
-                    ey = r - (y0 + t * dy)
-                    dist = math.sqrt(ex * ex + ey * ey)
-                    cov = max(1.0 - dist, 0.0)
-                    a = alpha * cov
-                    for k in range(ch):
-                        img[r, c, k] = img[r, c, k] * (1.0 - a) + value * a
-        return img
-
-
-if USE_NUMBA:
-    rbf_cross = rbf_cross_numba
-    pairwise_sq_dists = pairwise_sq_dists_numba
-    affine_bilinear_warp = affine_bilinear_warp_numba
-    render_streaks = render_streaks_numba
-else:
-    rbf_cross = rbf_cross_numpy
-    pairwise_sq_dists = pairwise_sq_dists_numpy
-    affine_bilinear_warp = affine_bilinear_warp_numpy
-    render_streaks = render_streaks_numpy
-
-
-def warmup():
-    """Trigger JIT compilation of the active kernels on tiny inputs.
-
-    No-op cost on the numpy backend; call before timing anything.
-    """
-    x = np.zeros((2, 3))
-    rbf_cross(x, x, np.ones(3), 1.0)
-    pairwise_sq_dists(x, x)
-    img = np.zeros((4, 4, 1))
-    affine_bilinear_warp(img, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-    render_streaks(
-        img, np.array([1.0]), np.array([1.0]), np.array([2.0]), np.array([75.0]),
-        0.85, 0.6,
-    )

@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +25,9 @@ from distrel import oracles as oracles_mod
 from distrel import presets
 from distrel import rebalance as rebalance_mod
 from distrel.distortion import distortion_space
-from distrel.sampling import (
-    LabeledSet,
-    SamplerConfig,
-    load_labeled_set,
-    run_gp_sampling,
-    run_random_sampling,
-    save_labeled_set,
-)
+from distrel.sampling import SamplerConfig, load_labeled_set, save_labeled_set
+# not called here: perfbench/tracing.py wraps cli.run_gp_sampling and cli.run_random_sampling
+from distrel.sampling import run_gp_sampling, run_random_sampling  # noqa: F401
 from distrel.space import SearchSpace
 
 CONFIG_VERSION = 1
@@ -42,15 +38,15 @@ _DEFAULTS = {
     "h": None,
     "h_preset": None,
     "budget": 600,
-    "init_count": 20,
-    "delta": 0.1,
+    "init_count": SamplerConfig.init_count,
+    "delta": SamplerConfig.delta,
     "samplers": ["random", "gp"],
     "methods": ["none", "smote"],
     "kinds": ["logistic", "tree", "knn"],
     "seeds": [0, 1, 2, 3, 4],
     "points_per_dim": 4,
-    "acquisition_candidates": 2048,
-    "refine_steps": 32,
+    "acquisition_candidates": SamplerConfig.acquisition_candidates,
+    "refine_steps": SamplerConfig.refine_steps,
     "budgets": None,
     "thresholds": None,
     "out": "runs/latest",
@@ -66,6 +62,13 @@ _ORACLE_DEFAULTS_BLOBS = {
     "noise": 0.05,
 }
 
+# spec fields each explicit synthetic oracle kind needs
+_SYNTHETIC_FIELDS = {
+    "box": ("lower", "upper"),
+    "ellipsoid": ("centers", "scales", "peaks"),
+    "multimodal": ("centers", "scales", "peaks"),
+}
+
 
 class ConfigError(ValueError):
     """Invalid run configuration; maps to exit code 1."""
@@ -73,6 +76,14 @@ class ConfigError(ValueError):
 
 def _fail(field, message):
     raise ConfigError(f"config field {field!r}: {message}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_config(path) -> dict:
@@ -89,7 +100,12 @@ def load_config(path) -> dict:
 
 
 def resolve_config(raw: dict, overrides: dict = None) -> dict:
-    """Merge defaults, file values and CLI overrides; validate everything."""
+    """Merge defaults, file values and CLI overrides; validate everything.
+
+    The sampler fields are checked by building the run's SamplerConfig and a
+    synthetic oracle by building its SyntheticOracleSpec, so each check lives
+    with the object it guards.
+    """
     unknown = set(raw) - set(_DEFAULTS) - {"oracle"}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -99,68 +115,70 @@ def resolve_config(raw: dict, overrides: dict = None) -> dict:
         if value is not None:
             cfg[key] = value
 
-    if cfg.get("config_version") != CONFIG_VERSION:
-        _fail("config_version", f"expected {CONFIG_VERSION}, got {cfg.get('config_version')!r}")
-    if "oracle" not in cfg or cfg["oracle"] is None:
+    if not _is_int(cfg["config_version"]) or cfg["config_version"] != CONFIG_VERSION:
+        _fail("config_version", f"expected {CONFIG_VERSION}, got {cfg['config_version']!r}")
+    if cfg.get("oracle") is None:
         _fail("oracle", "missing; give a preset or an oracle spec")
+    if not isinstance(cfg["out"], str):
+        _fail("out", f"must be a directory path, got {cfg['out']!r}")
 
     cfg["space"] = _resolve_space_field(cfg["space"])
     cfg["oracle"] = _resolve_oracle_field(cfg["oracle"])
 
+    preset = cfg["h_preset"]
+    if preset is not None and not (
+        isinstance(preset, str) and preset in presets.THRESHOLD_PRESETS
+    ):
+        _fail("h_preset", f"unknown preset {preset!r}; "
+              f"known: {sorted(presets.THRESHOLD_PRESETS)}")
     if cfg["h"] is None:
-        preset = cfg.get("h_preset")
-        if preset is None:
-            cfg["h"] = presets.BENCHMARK_H
-        elif preset in presets.THRESHOLD_PRESETS:
-            cfg["h"] = presets.THRESHOLD_PRESETS[preset]
-        else:
-            _fail("h_preset", f"unknown preset {preset!r}; "
-                  f"known: {sorted(presets.THRESHOLD_PRESETS)}")
-    if not isinstance(cfg["h"], (int, float)) or not 0.0 <= cfg["h"] <= 1.0:
+        cfg["h"] = presets.BENCHMARK_H if preset is None else presets.THRESHOLD_PRESETS[preset]
+    if not _is_number(cfg["h"]) or not 0.0 <= cfg["h"] <= 1.0:
         _fail("h", f"must be a number in [0, 1], got {cfg['h']!r}")
 
-    if not isinstance(cfg["budget"], int) or cfg["budget"] < 1:
-        _fail("budget", f"must be a positive integer, got {cfg['budget']!r}")
-    if not isinstance(cfg["init_count"], int) or not 0 < cfg["init_count"] < cfg["budget"]:
-        _fail("init_count", f"must be an integer in [1, budget), got {cfg['init_count']!r}")
-    if not 0.0 < cfg["delta"] < 1.0:
-        _fail("delta", f"must be in (0, 1), got {cfg['delta']!r}")
-    if not isinstance(cfg["points_per_dim"], int) or cfg["points_per_dim"] < 2:
+    try:
+        _sampler_config(cfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    if not _is_int(cfg["points_per_dim"]) or cfg["points_per_dim"] < 2:
         _fail("points_per_dim", f"must be an integer >= 2, got {cfg['points_per_dim']!r}")
-    if not isinstance(cfg["acquisition_candidates"], int) or cfg["acquisition_candidates"] < 1:
-        _fail("acquisition_candidates", "must be a positive integer")
-    if not isinstance(cfg["refine_steps"], int) or cfg["refine_steps"] < 0:
-        _fail("refine_steps", "must be a non-negative integer")
 
-    for s in cfg["samplers"]:
-        if s not in ev.SAMPLERS:
-            _fail("samplers", f"unknown sampler {s!r}; known: {list(ev.SAMPLERS)}")
-    for m in cfg["methods"]:
-        if m not in rebalance_mod.METHODS:
-            _fail("methods", f"unknown method {m!r}; known: {list(rebalance_mod.METHODS)}")
-    for k in cfg["kinds"]:
-        if k not in models_mod.KINDS:
-            _fail("kinds", f"unknown model kind {k!r}; known: {list(models_mod.KINDS)}")
-    if not cfg["samplers"]:
-        _fail("samplers", "must not be empty")
-    if not cfg["kinds"]:
-        _fail("kinds", "must not be empty")
+    _check_names(cfg, "samplers", ev.SAMPLERS)
+    _check_names(cfg, "methods", rebalance_mod.METHODS)
+    _check_names(cfg, "kinds", models_mod.KINDS)
     seeds = cfg["seeds"]
     if not isinstance(seeds, list) or not seeds or not all(
-        isinstance(s, int) and s >= 0 for s in seeds
+        _is_int(s) and s >= 0 for s in seeds
     ):
         _fail("seeds", f"must be a non-empty list of unsigned integers, got {seeds!r}")
     if cfg["budgets"] is not None and (
         not isinstance(cfg["budgets"], list)
-        or not all(isinstance(b, int) and b > cfg["init_count"] for b in cfg["budgets"])
+        or not all(_is_int(b) and b > cfg["init_count"] for b in cfg["budgets"])
     ):
         _fail("budgets", "must be a list of integers > init_count")
     if cfg["thresholds"] is not None and (
         not isinstance(cfg["thresholds"], list)
-        or not all(isinstance(t, (int, float)) and 0 <= t <= 1 for t in cfg["thresholds"])
+        or not all(_is_number(t) and 0 <= t <= 1 for t in cfg["thresholds"])
     ):
         _fail("thresholds", "must be a list of numbers in [0, 1]")
+
+    if "preset" in cfg["oracle"] and cfg["space"] != "distortion":
+        _fail("space", "oracle presets are defined on the distortion space; "
+              "use an explicit oracle spec with a custom space")
+    try:
+        _synthetic_spec(cfg)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        _fail("oracle", str(exc))
     return cfg
+
+
+def _check_names(cfg, field, known):
+    names = cfg[field]
+    if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
+        _fail(field, f"must be a non-empty list of names, got {names!r}")
+    for name in names:
+        if name not in known:
+            _fail(field, f"unknown name {name!r}; known: {list(known)}")
 
 
 def _resolve_space_field(value):
@@ -181,12 +199,15 @@ def _resolve_oracle_field(value):
     value = dict(value)
     if "preset" in value:
         name = value["preset"]
-        if name not in presets.ORACLE_PRESETS:
+        if not isinstance(name, str) or name not in presets.ORACLE_PRESETS:
             _fail("oracle.preset", f"unknown preset {name!r}; "
                   f"known: {sorted(presets.ORACLE_PRESETS)}")
         return {"preset": name}
     kind = value.get("kind")
-    if kind in ("box", "ellipsoid", "multimodal"):
+    if isinstance(kind, str) and kind in _SYNTHETIC_FIELDS:
+        for need in _SYNTHETIC_FIELDS[kind]:
+            if need not in value:
+                _fail(f"oracle.{need}", f"required for {kind} oracles")
         return value
     if kind == "classifier":
         dataset = value.get("dataset")
@@ -205,42 +226,48 @@ def _resolve_oracle_field(value):
     _fail("oracle.kind", f"must be box, ellipsoid, multimodal or classifier, got {kind!r}")
 
 
+def _sampler_config(cfg: dict) -> SamplerConfig:
+    """The run's SamplerConfig; each (sampler, seed) run replaces its seed."""
+    return SamplerConfig(budget=cfg["budget"], **{k: cfg[k] for k in ev.SAMPLER_OPTIONS})
+
+
 def build_space(cfg: dict) -> SearchSpace:
     if cfg["space"] == "distortion":
         return distortion_space()
     return SearchSpace.from_dict(cfg["space"])
 
 
+def _synthetic_spec(cfg: dict):
+    """The configured synthetic oracle's spec, or None for a classifier oracle."""
+    spec = cfg["oracle"]
+    if "preset" in spec:
+        return presets.ORACLE_PRESETS[spec["preset"]](h=cfg["h"])
+    if spec["kind"] == "classifier":
+        return None
+    if spec["kind"] == "box":
+        return oracles_mod.SyntheticOracleSpec(
+            kind="box",
+            space=build_space(cfg),
+            box_lower=spec["lower"],
+            box_upper=spec["upper"],
+            **{k: spec[k] for k in ("inside_value", "outside_value") if k in spec},
+        )
+    return oracles_mod.SyntheticOracleSpec(
+        kind=spec["kind"],
+        space=build_space(cfg),
+        centers=spec["centers"],
+        scales=spec["scales"],
+        peaks=spec["peaks"],
+    )
+
+
 def build_oracle(cfg: dict):
     """Construct the configured oracle; runs zero accuracy evaluations."""
-    spec = cfg["oracle"]
-    space = build_space(cfg)
-    if "preset" in spec:
-        return oracles_mod.make_synthetic_oracle(
-            presets.ORACLE_PRESETS[spec["preset"]](h=cfg["h"])
-        )
-    kind = spec["kind"]
-    if kind == "box":
-        return oracles_mod.make_synthetic_oracle(
-            oracles_mod.SyntheticOracleSpec(
-                kind="box",
-                space=space,
-                box_lower=np.asarray(spec["lower"], dtype=np.float64),
-                box_upper=np.asarray(spec["upper"], dtype=np.float64),
-                inside_value=spec.get("inside_value", 0.99),
-                outside_value=spec.get("outside_value", 0.5),
-            )
-        )
-    if kind in ("ellipsoid", "multimodal"):
-        centers = np.atleast_2d(np.asarray(spec["centers"], dtype=np.float64))
-        scales = np.atleast_2d(np.asarray(spec["scales"], dtype=np.float64))
-        peaks = np.atleast_1d(np.asarray(spec["peaks"], dtype=np.float64))
-        return oracles_mod.make_synthetic_oracle(
-            oracles_mod.SyntheticOracleSpec(
-                kind=kind, space=space, centers=centers, scales=scales, peaks=peaks
-            )
-        )
+    synthetic = _synthetic_spec(cfg)
+    if synthetic is not None:
+        return oracles_mod.make_synthetic_oracle(synthetic)
     # classifier oracle
+    spec = cfg["oracle"]
     dataset = spec["dataset"]
     if dataset["type"] == "blobs":
         d = {**_ORACLE_DEFAULTS_BLOBS, **dataset}
@@ -327,31 +354,19 @@ def _experiment_kwargs(cfg: dict) -> dict:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_sample(cfg: dict, workers: int) -> int:
+def cmd_sample(cfg: dict) -> int:
     out = _out_dir(cfg)
     space = build_space(cfg)
     oracle = build_oracle(cfg)
+    base = _sampler_config(cfg)
     calls = {}
     for sampler in cfg["samplers"]:
         for seed in cfg["seeds"]:
-            wrapped = oracles_mod.caching_oracle(oracle)
-            if sampler == "random":
-                labeled = run_random_sampling(wrapped, space, cfg["h"], cfg["budget"], seed)
-            else:
-                labeled = run_gp_sampling(
-                    wrapped, space, cfg["h"],
-                    SamplerConfig(
-                        budget=cfg["budget"],
-                        init_count=cfg["init_count"],
-                        delta=cfg["delta"],
-                        acquisition_candidates=cfg["acquisition_candidates"],
-                        refine_steps=cfg["refine_steps"],
-                        seed=seed,
-                    ),
-                )
+            labeled, calls[f"{sampler}/{seed}"] = ev.run_sampler(
+                sampler, oracle, space, cfg["h"], replace(base, seed=seed)
+            )
             name = f"samples_{sampler}_seed{seed}.csv"
             save_labeled_set(out / name, labeled, space)
-            calls[f"{sampler}/{seed}"] = wrapped.inner_calls
             print(f"wrote {out / name} ({labeled.n} rows, {labeled.positive_count} positive)")
     write_manifest(out, cfg, "sample", {"oracle_calls": calls})
     return 0
@@ -562,7 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replace the config seed list with this single seed")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker threads for independent cells (default serial)")
+                       help="worker threads for the cells of pipeline and the sweeps "
+                            "(default 1); sample runs serially")
 
     common(sub.add_parser("sample", help="run the samplers, write training sets"))
     p = sub.add_parser("rebalance", help="rebalance a sampled training set")
@@ -604,7 +620,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "sample":
-            return cmd_sample(cfg, args.workers)
+            return cmd_sample(cfg)
         if args.command == "rebalance":
             return cmd_rebalance(cfg, args.data, args.method)
         if args.command == "train":

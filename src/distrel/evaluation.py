@@ -9,9 +9,10 @@ oracle.
 
 import csv
 import hashlib
+import inspect
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from distrel.sampling import LabeledSet, SamplerConfig, run_gp_sampling, run_ran
 from distrel.space import SearchSpace
 
 SAMPLERS = ("random", "gp")
+# SamplerConfig fields one run shares across all its (sampler, seed) pairs
+SAMPLER_OPTIONS = ("init_count", "delta", "acquisition_candidates", "refine_steps")
 REPORT_FORMAT_VERSION = 1
 CSV_HEADER = [
     "sampler", "method", "kind", "seed",
@@ -176,18 +179,7 @@ class ExperimentReport:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
-            for c in self.sorted_cells():
-                if c.error is not None:
-                    continue
-                m = c.metrics
-                writer.writerow(
-                    [
-                        c.sampler, c.method, c.kind, c.seed,
-                        m.true_positive, m.false_positive,
-                        m.true_negative, m.false_negative,
-                        f"{m.precision:.10g}", f"{m.recall:.10g}", f"{m.f1:.10g}",
-                    ]
-                )
+            writer.writerows(_cell_rows(self))
 
     def to_json_dict(self) -> dict:
         def nest(d):
@@ -238,22 +230,30 @@ def _validate_axes(samplers, methods, kinds):
             raise ValueError(f"unknown model kind {k!r}; known: {models_mod.KINDS}")
 
 
-def _run_sampler(sampler, oracle, space, h, seed, budget, init_count, delta,
-                 acquisition_candidates, refine_steps):
+def run_sampler(sampler, oracle, space, h, cfg: SamplerConfig):
+    """One sampler run against a fresh caching wrapper of ``oracle``.
+
+    The random sampler reads only ``cfg.budget`` and ``cfg.seed``. Returns
+    the labeled set and the number of distinct levels sent to ``oracle``.
+    """
     wrapped = oracles_mod.caching_oracle(oracle)
     if sampler == "random":
-        labeled = run_random_sampling(wrapped, space, h, budget, seed)
+        labeled = run_random_sampling(wrapped, space, h, cfg.budget, cfg.seed)
     else:
-        cfg = SamplerConfig(
-            budget=budget,
-            init_count=init_count,
-            delta=delta,
-            acquisition_candidates=acquisition_candidates,
-            refine_steps=refine_steps,
-            seed=seed,
-        )
         labeled = run_gp_sampling(wrapped, space, h, cfg)
     return labeled, wrapped.inner_calls
+
+
+def _sample_sets(oracle, space, h, samplers, seeds, cfg: SamplerConfig):
+    """run_sampler for every (sampler, seed); returns (sets, oracle calls) by key."""
+    train_sets = {}
+    oracle_calls = {}
+    for seed in seeds:
+        for sampler in samplers:
+            labeled, calls = run_sampler(sampler, oracle, space, h, replace(cfg, seed=seed))
+            train_sets[(sampler, seed)] = labeled
+            oracle_calls[(sampler, seed)] = calls
+    return train_sets, oracle_calls
 
 
 def _evaluate_cells(train_sets, grid, space, methods, kinds, workers=1):
@@ -302,15 +302,15 @@ def run_experiment(
     h: float,
     *,
     budget: int,
-    init_count: int = 20,
-    delta: float = 0.1,
-    samplers=("random", "gp"),
+    init_count: int = SamplerConfig.init_count,
+    delta: float = SamplerConfig.delta,
+    samplers=SAMPLERS,
     methods=("none", "smote"),
-    kinds=("logistic", "tree", "knn"),
+    kinds=models_mod.KINDS,
     seeds=(0, 1, 2, 3, 4),
     points_per_dim: int = 4,
-    acquisition_candidates: int = 2048,
-    refine_steps: int = 32,
+    acquisition_candidates: int = SamplerConfig.acquisition_candidates,
+    refine_steps: int = SamplerConfig.refine_steps,
     grid: LabeledSet = None,
     config: dict = None,
     workers: int = 1,
@@ -322,28 +322,23 @@ def run_experiment(
     recorded in the report while the other cells proceed.
     """
     _validate_axes(samplers, methods, kinds)
+    cfg = SamplerConfig(
+        budget=budget,
+        init_count=init_count,
+        delta=delta,
+        acquisition_candidates=acquisition_candidates,
+        refine_steps=refine_steps,
+    )
     if grid is None:
         grid = build_grid_test_set(space, points_per_dim, oracle, h)
     elif grid.threshold != h:
         grid = grid.relabeled(h)
 
-    train_sets = {}
-    positive_counts = {}
-    oracle_calls = {}
-    for seed in seeds:
-        for sampler in samplers:
-            labeled, calls = _run_sampler(
-                sampler, oracle, space, h, seed, budget, init_count, delta,
-                acquisition_candidates, refine_steps,
-            )
-            train_sets[(sampler, seed)] = labeled
-            positive_counts[(sampler, seed)] = labeled.positive_count
-            oracle_calls[(sampler, seed)] = calls
-
+    train_sets, oracle_calls = _sample_sets(oracle, space, h, samplers, seeds, cfg)
     cells = _evaluate_cells(train_sets, grid, space, methods, kinds, workers)
     return ExperimentReport(
         cells=cells,
-        positive_counts=positive_counts,
+        positive_counts={k: v.positive_count for k, v in train_sets.items()},
         oracle_calls=oracle_calls,
         grid_size=grid.n,
         grid_positive_count=grid.positive_count,
@@ -352,21 +347,36 @@ def run_experiment(
     )
 
 
+# run_experiment's keyword defaults; the sweeps take the same keywords and
+# fill them from here rather than declaring defaults of their own
+_RUN_DEFAULTS = {
+    name: p.default
+    for name, p in inspect.signature(run_experiment).parameters.items()
+    if p.default is not p.empty
+}
+
+
+def _with_run_defaults(kwargs: dict) -> dict:
+    unknown = set(kwargs) - set(_RUN_DEFAULTS)
+    if unknown:
+        raise TypeError(f"unexpected arguments {sorted(unknown)}")
+    return {**_RUN_DEFAULTS, **kwargs}
+
+
 def sweep_budget(oracle, space, h, budgets, *, config: dict = None, **kwargs) -> list:
-    """run_experiment per budget, reusing one shared grid; rows keyed by budget."""
+    """run_experiment per budget, reusing one shared grid; rows keyed by budget.
+
+    Takes run_experiment's keywords except ``budget`` and ``config``.
+    """
     if not budgets:
         raise ValueError("need at least one budget")
-    points_per_dim = kwargs.pop("points_per_dim", 4)
-    grid = kwargs.pop("grid", None)
-    if grid is None:
-        grid = build_grid_test_set(space, points_per_dim, oracle, h)
+    kwargs = _with_run_defaults(kwargs)
+    if kwargs["grid"] is None:
+        kwargs["grid"] = build_grid_test_set(space, kwargs["points_per_dim"], oracle, h)
     out = []
     for budget in budgets:
-        report = run_experiment(
-            oracle, space, h, budget=budget, grid=grid,
-            config={**(config or {}), "budget": budget}, **kwargs,
-        )
-        out.append((int(budget), report))
+        kwargs["config"] = {**(config or {}), "budget": budget}
+        out.append((int(budget), run_experiment(oracle, space, h, budget=budget, **kwargs)))
     return out
 
 
@@ -374,9 +384,11 @@ def sweep_threshold(oracle, space, h_values, *, budget, config: dict = None, **k
     """Re-evaluate the matrix at each threshold without new oracle calls.
 
     Samples once per (sampler, seed) and builds the grid once; every
-    threshold then relabels the stored accuracies. Returns (rows, audit)
-    where rows are (h, ExperimentReport) pairs and audit proves the oracle
-    call count did not grow during the sweep.
+    threshold then relabels the stored accuracies. Takes run_experiment's
+    keywords except ``config``; a passed ``grid`` is relabeled like the
+    built one. Returns (rows, audit) where rows are (h, ExperimentReport)
+    pairs and audit proves the oracle call count did not grow during the
+    sweep.
     """
     h_values = [float(h) for h in h_values]
     if not h_values:
@@ -384,20 +396,9 @@ def sweep_threshold(oracle, space, h_values, *, budget, config: dict = None, **k
     for h in h_values:
         if not 0.0 <= h <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {h}")
-
-    init_count = kwargs.pop("init_count", 20)
-    delta = kwargs.pop("delta", 0.1)
-    samplers = kwargs.pop("samplers", ("random", "gp"))
-    methods = kwargs.pop("methods", ("none", "smote"))
-    kinds = kwargs.pop("kinds", ("logistic", "tree", "knn"))
-    seeds = kwargs.pop("seeds", (0, 1, 2, 3, 4))
-    points_per_dim = kwargs.pop("points_per_dim", 4)
-    acquisition_candidates = kwargs.pop("acquisition_candidates", 2048)
-    refine_steps = kwargs.pop("refine_steps", 32)
-    workers = kwargs.pop("workers", 1)
-    if kwargs:
-        raise TypeError(f"unexpected arguments {sorted(kwargs)}")
-    _validate_axes(samplers, methods, kinds)
+    kw = _with_run_defaults(kwargs)
+    _validate_axes(kw["samplers"], kw["methods"], kw["kinds"])
+    cfg = SamplerConfig(budget=budget, **{k: kw[k] for k in SAMPLER_OPTIONS})
 
     # one shared sample per (sampler, seed), drawn against the first threshold
     # only: the GP sampler's mean-term sign follows the minority class at that
@@ -405,31 +406,28 @@ def sweep_threshold(oracle, space, h_values, *, budget, config: dict = None, **k
     # Labels are recomputed per threshold from the stored accuracies.
     audited = oracles_mod.caching_oracle(oracle)
     h_ref = h_values[0]
-    grid = build_grid_test_set(space, points_per_dim, audited, h_ref)
-    train_sets = {}
-    oracle_calls = {}
-    for seed in seeds:
-        for sampler in samplers:
-            labeled, calls = _run_sampler(
-                sampler, audited, space, h_ref, seed, budget, init_count, delta,
-                acquisition_candidates, refine_steps,
-            )
-            train_sets[(sampler, seed)] = labeled
-            oracle_calls[(sampler, seed)] = calls
+    grid = kw["grid"]
+    if grid is None:
+        grid = build_grid_test_set(space, kw["points_per_dim"], audited, h_ref)
+    train_sets, oracle_calls = _sample_sets(
+        audited, space, h_ref, kw["samplers"], kw["seeds"], cfg
+    )
     calls_after_sampling = audited.inner_calls
 
     rows = []
     for h in h_values:
         relabeled = {k: v.relabeled(h) for k, v in train_sets.items()}
         grid_h = grid.relabeled(h)
-        cells = _evaluate_cells(relabeled, grid_h, space, methods, kinds, workers)
+        cells = _evaluate_cells(
+            relabeled, grid_h, space, kw["methods"], kw["kinds"], kw["workers"]
+        )
         report = ExperimentReport(
             cells=cells,
             positive_counts={k: v.positive_count for k, v in relabeled.items()},
             oracle_calls=dict(oracle_calls),
             grid_size=grid_h.n,
             grid_positive_count=grid_h.positive_count,
-            seeds=tuple(seeds),
+            seeds=tuple(kw["seeds"]),
             config={**(config or {}), "h": h},
         )
         rows.append((h, report))
@@ -442,21 +440,24 @@ def sweep_threshold(oracle, space, h_values, *, budget, config: dict = None, **k
     return rows, audit
 
 
+def _cell_rows(report) -> list:
+    """One CSV_HEADER row per successful cell of ``report``, in key order."""
+    return [
+        [
+            c.sampler, c.method, c.kind, c.seed,
+            c.metrics.true_positive, c.metrics.false_positive,
+            c.metrics.true_negative, c.metrics.false_negative,
+            f"{c.metrics.precision:.10g}", f"{c.metrics.recall:.10g}", f"{c.metrics.f1:.10g}",
+        ]
+        for c in report.sorted_cells()
+        if c.error is None
+    ]
+
+
 def write_sweep_csv(path, rows, key_name: str) -> None:
     """Flatten (key, report) pairs into one CSV with a leading key column."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([key_name] + CSV_HEADER)
         for key, report in rows:
-            for c in report.sorted_cells():
-                if c.error is not None:
-                    continue
-                m = c.metrics
-                writer.writerow(
-                    [
-                        key, c.sampler, c.method, c.kind, c.seed,
-                        m.true_positive, m.false_positive,
-                        m.true_negative, m.false_negative,
-                        f"{m.precision:.10g}", f"{m.recall:.10g}", f"{m.f1:.10g}",
-                    ]
-                )
+            writer.writerows([key] + row for row in _cell_rows(report))

@@ -79,6 +79,13 @@ def _split(labeled: LabeledSet) -> tuple:
     return label, min_idx, maj_idx
 
 
+def _single_class(labeled: LabeledSet) -> str:
+    """Why a set with an empty minority class cannot be rebalanced."""
+    if labeled.n == 0:
+        return "the set is empty"
+    return f"the set holds a single class: all {labeled.n} labels are {int(labeled.labels[0])}"
+
+
 def smote(
     labeled: LabeledSet,
     space: SearchSpace,
@@ -100,9 +107,9 @@ def smote(
     if need == 0:
         return _passthrough(labeled, "smote", k=k, seed=seed)
     if min_idx.size < 2:
+        advice = "fall back to random_over" if min_idx.size else _single_class(labeled)
         raise ValueError(
-            f"SMOTE needs at least 2 minority samples, got {min_idx.size}; "
-            "fall back to random_over"
+            f"SMOTE needs at least 2 minority samples, got {min_idx.size}; {advice}"
         )
     k_eff = min(k, min_idx.size - 1)
 
@@ -141,8 +148,8 @@ def smote(
 def random_over(labeled: LabeledSet, seed: int = 0) -> RebalancedSet:
     """Duplicate uniformly chosen minority samples until counts match."""
     minority_label, min_idx, maj_idx = _split(labeled)
-    if min_idx.size == 0 or maj_idx.size == 0:
-        raise ValueError("both classes must be non-empty")
+    if min_idx.size == 0:
+        raise ValueError(f"both classes must be non-empty; {_single_class(labeled)}")
     need = maj_idx.size - min_idx.size
     if need == 0:
         return _passthrough(labeled, "random-over", seed=seed)
@@ -164,8 +171,8 @@ def random_over(labeled: LabeledSet, seed: int = 0) -> RebalancedSet:
 def random_under(labeled: LabeledSet, seed: int = 0) -> RebalancedSet:
     """Subsample the majority class down to the minority count."""
     minority_label, min_idx, maj_idx = _split(labeled)
-    if min_idx.size == 0 or maj_idx.size == 0:
-        raise ValueError("both classes must be non-empty")
+    if min_idx.size == 0:
+        raise ValueError(f"both classes must be non-empty; {_single_class(labeled)}")
     if maj_idx.size == min_idx.size:
         return _passthrough(labeled, "random-under", seed=seed)
     rng = np.random.default_rng(seed)
@@ -196,7 +203,7 @@ def near_miss(labeled: LabeledSet, space: SearchSpace, k: int = 3) -> Rebalanced
         raise ValueError(f"k must be >= 1, got {k}")
     minority_label, min_idx, maj_idx = _split(labeled)
     if min_idx.size == 0:
-        raise ValueError("minority class is empty")
+        raise ValueError(f"minority class is empty; {_single_class(labeled)}")
     if maj_idx.size == min_idx.size:
         return _passthrough(labeled, "near-miss", k=k)
     k_eff = min(k, min_idx.size)
@@ -230,7 +237,7 @@ def cost_sensitive_weights(labeled: LabeledSet) -> RebalancedSet:
     n_pos = labeled.positive_count
     n_neg = labeled.n - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise ValueError("both classes must be non-empty")
+        raise ValueError(f"both classes must be non-empty; {_single_class(labeled)}")
     out = _passthrough(labeled, "reweight")
     class_counts = np.array([n_neg, n_pos], dtype=np.float64)
     weights = labeled.n / (2.0 * class_counts[labeled.labels])
@@ -251,8 +258,8 @@ def rebalance(
 
     SMOTE needs two minority samples to interpolate between. With exactly one
     it falls back to random over-sampling (duplicating that sample) and
-    records ``fallback_from: "smote"`` in the provenance; an empty minority
-    class still raises.
+    records ``fallback_from: "smote"`` in the provenance. A single-class set
+    raises for every method but "none".
     """
     if method == "none":
         return _passthrough(labeled, "none")

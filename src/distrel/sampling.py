@@ -16,6 +16,7 @@ count to keep exploring.
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,12 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("budget", "init_count", "acquisition_candidates", "refine_steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.delta, bool) or not isinstance(self.delta, numbers.Real):
+            raise TypeError(f"delta must be a number, got {self.delta!r}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         if not 0 < self.init_count < self.budget:
@@ -132,9 +139,11 @@ class SamplerConfig:
                 f"got {self.minority_direction!r}"
             )
         if self.acquisition_candidates < 1:
-            raise ValueError("acquisition_candidates must be >= 1")
+            raise ValueError(
+                f"acquisition_candidates must be >= 1, got {self.acquisition_candidates}"
+            )
         if self.refine_steps < 0:
-            raise ValueError("refine_steps must be >= 0")
+            raise ValueError(f"refine_steps must be >= 0, got {self.refine_steps}")
 
 
 def minority_label(labels) -> int:

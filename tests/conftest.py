@@ -1,14 +1,4 @@
-import pytest
-
-from distrel import _kernels
-
 _acceptance_outcomes = {}
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compilation must not leak into timed assertions.
-    _kernels.warmup()
 
 
 def pytest_runtest_logreport(report):

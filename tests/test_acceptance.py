@@ -1,9 +1,7 @@
 """Acceptance gate: one test per criterion, at the stated tolerances.
 
 The heavy benchmark runs are shared through session fixtures; each criterion
-prints through the terminal-summary hook in conftest. Stated runtime budgets
-are asserted with JIT warmup excluded (the session autouse fixture compiles
-the kernels first).
+prints through the terminal-summary hook in conftest.
 """
 
 import json

@@ -1,7 +1,12 @@
 import csv
 import json
 
-from distrel.cli import main
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from distrel.cli import ConfigError, build_oracle, build_space, main, resolve_config
 
 # box covering 0.84 of each axis: ~35% positive volume, so small budgets
 # still see both classes
@@ -80,6 +85,78 @@ class TestValidation:
         rc = main(["sample", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "dataset" in capsys.readouterr().err
+
+
+# malformed configs that once crashed, exited 3 or passed validation
+CONFIG_PROBES = {
+    "delta-string": {"delta": "0.1"},
+    "box-without-upper": {"oracle": {"kind": "box", "lower": BASE_CONFIG["oracle"]["lower"]}},
+    "ellipsoid-without-centers": {
+        "oracle": {"kind": "ellipsoid", "scales": [0.1] * 6, "peaks": [0.9]},
+    },
+    "h-bool": {"h": True},
+    "custom-space-with-preset": {
+        "space": {"dims": [{"name": f"x{i}", "lower": 0.0, "upper": 1.0} for i in range(6)]},
+        "oracle": {"preset": "benchmark"},
+    },
+    "samplers-string": {"samplers": "gp"},
+    "methods-empty": {"methods": []},
+    "seeds-bool": {"seeds": [True]},
+    "acquisition-candidates-bool": {"acquisition_candidates": True},
+}
+
+
+class TestConfigProbes:
+    @pytest.mark.parametrize("over", CONFIG_PROBES.values(), ids=CONFIG_PROBES.keys())
+    def test_probe_exits_1_before_any_work(self, tmp_path, capsys, over):
+        path = write_config(tmp_path, **over)
+        out = tmp_path / "o"
+        rc = main(["pipeline", "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+
+# values of the wrong type or out of range for any field
+WRONG_VALUES = st.one_of(
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.lists(st.one_of(st.integers(-3, 3), st.booleans(), st.text(max_size=2)), max_size=7),
+    st.integers(-5, 5),
+    st.floats(-2.0, 3.0, allow_nan=False),
+)
+TOP_FIELDS = [
+    "config_version", "space", "h", "h_preset", "budget", "init_count", "delta",
+    "samplers", "methods", "kinds", "seeds", "points_per_dim",
+    "acquisition_candidates", "refine_steps", "budgets", "thresholds", "out", "oracle",
+]
+ORACLE_FIELDS = [
+    "kind", "lower", "upper", "inside_value", "outside_value", "centers", "scales", "peaks",
+]
+ELLIPSOID = {
+    "kind": "ellipsoid",
+    "centers": [[1.0, 45.0, 0.0, 0.0, 1.0, 0.5]],
+    "scales": [[0.2, 30.0, 0.1, 0.1, 0.2, 0.3]],
+    "peaks": [0.95],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    oracle=st.sampled_from([BASE_CONFIG["oracle"], ELLIPSOID, {"preset": "benchmark"}]),
+    oracle_over=st.dictionaries(st.sampled_from(ORACLE_FIELDS), WRONG_VALUES, max_size=2),
+    top_over=st.dictionaries(st.sampled_from(TOP_FIELDS), WRONG_VALUES, max_size=3),
+)
+def test_fuzzed_config_is_rejected_or_builds(oracle, oracle_over, top_over):
+    raw = {**BASE_CONFIG, "oracle": {**oracle, **oracle_over}, **top_over}
+    try:
+        cfg = resolve_config(raw)
+    except ConfigError:
+        return
+    space = build_space(cfg)
+    acc = build_oracle(cfg)(space.denormalize(np.full(space.dim, 0.5)))
+    assert 0.0 <= acc <= 1.0
 
 
 class TestSample:

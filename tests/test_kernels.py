@@ -1,67 +1,14 @@
-"""Backend equivalence: the numba kernels must match the numpy ones."""
+"""Pairwise kernels and BLAS thread pinning."""
 
 import numpy as np
 import pytest
 
 from distrel import _kernels
 
-needs_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
 needs_openblas = pytest.mark.skipif(
     not _kernels.openblas_thread_controls(),
     reason="no OpenBLAS thread-control symbol loaded in this process",
 )
-
-
-def test_backend_name_reports_selection():
-    assert _kernels.backend() in ("numba", "numpy")
-    if not _kernels.HAS_NUMBA:
-        assert _kernels.backend() == "numpy"
-
-
-@needs_numba
-def test_rbf_cross_backends_agree():
-    rng = np.random.default_rng(1)
-    x = rng.random((40, 6))
-    z = rng.random((25, 6))
-    ls = rng.random(6) * 0.5 + 0.1
-    a = _kernels.rbf_cross_numpy(x, z, ls, 1.7)
-    b = _kernels.rbf_cross_numba(x, z, ls, 1.7)
-    np.testing.assert_allclose(a, b, atol=1e-13)
-
-
-@needs_numba
-def test_pairwise_sq_dists_backends_agree():
-    rng = np.random.default_rng(2)
-    a = rng.random((30, 6))
-    b = rng.random((20, 6))
-    np.testing.assert_allclose(
-        _kernels.pairwise_sq_dists_numpy(a, b),
-        _kernels.pairwise_sq_dists_numba(a, b),
-        atol=1e-13,
-    )
-
-
-@needs_numba
-def test_warp_backends_bit_identical():
-    rng = np.random.default_rng(3)
-    img = rng.random((17, 13, 3))
-    args = (0.91, 0.2, 1.3, -0.2, 0.91, 0.4, 0.0)
-    a = _kernels.affine_bilinear_warp_numpy(img, *args)
-    b = _kernels.affine_bilinear_warp_numba(img, *args)
-    assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_streaks_backends_bit_identical():
-    rng = np.random.default_rng(4)
-    img = rng.random((24, 24, 1))
-    xs = rng.uniform(0, 24, 10)
-    ys = rng.uniform(0, 24, 10)
-    lengths = rng.uniform(8, 12, 10)
-    angles = rng.uniform(70, 80, 10)
-    a = _kernels.render_streaks_numpy(img.copy(), xs, ys, lengths, angles, 0.85, 0.6)
-    b = _kernels.render_streaks_numba(img.copy(), xs, ys, lengths, angles, 0.85, 0.6)
-    assert np.array_equal(a, b)
 
 
 def test_pairwise_sq_dists_never_negative():
@@ -88,7 +35,7 @@ def test_single_threaded_blas_pins_every_openblas_and_restores():
             set_threads(count)
 
 
-def test_rbf_cross_numpy_matches_plain_expression():
+def test_rbf_cross_matches_plain_expression():
     # the in-place evaluation must round exactly like the textbook expression
     rng = np.random.default_rng(6)
     x = rng.random((37, 6))
@@ -101,4 +48,4 @@ def test_rbf_cross_numpy_matches_plain_expression():
         - 2.0 * (xs @ zs.T)
     )
     expected = 0.7 * np.exp(-0.5 * np.maximum(sq, 0.0))
-    assert np.array_equal(_kernels.rbf_cross_numpy(x, z, ls, 0.7), expected)
+    assert np.array_equal(_kernels.rbf_cross(x, z, ls, 0.7), expected)

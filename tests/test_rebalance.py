@@ -296,6 +296,16 @@ class TestDispatcherAndInvariants:
         with pytest.raises(ValueError, match="SMOTE needs at least 2"):
             rebalance(ls, "smote", unit_space(1), seed=0)
 
+    @pytest.mark.parametrize(
+        "method", ["smote", "random-over", "random-under", "near-miss", "reweight"]
+    )
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_single_class_set_names_the_class(self, method, label):
+        ls = labeled_from([[0.1], [0.4], [0.6]], [label] * 3)
+        with pytest.raises(ValueError, match=f"single class: all 3 labels are {label}") as err:
+            rebalance(ls, method, unit_space(1), seed=0)
+        assert "fall back" not in str(err.value)
+
     def test_none_passthrough(self):
         ls = random_labeled(20, 2, 0.3, seed=16)
         out = rebalance(ls, "none", unit_space(2))
