@@ -10,7 +10,6 @@ failure.
 """
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -52,15 +51,18 @@ _DEFAULTS = {
     "out": "runs/latest",
 }
 
-_ORACLE_DEFAULTS_BLOBS = {
-    "type": "blobs",
-    "n_verification": 200,
-    "n_train": 100,
-    "n_classes": 2,
-    "size": 16,
-    "seed": 0,
-    "noise": 0.05,
+# every field a classifier oracle's dataset may hold, with its default
+_DATASET_DEFAULTS = {
+    "blobs": {
+        "type": "blobs", "n_verification": 200, "n_train": 100, "n_classes": 2,
+        "size": 16, "seed": 0, "noise": 0.05,
+    },
+    "idx": {
+        "type": "idx", "images": None, "labels": None,
+        "verification_limit": 200, "train_limit": 200,
+    },
 }
+_CLASSIFIER_FIELDS = ("kind", "dataset", "classifier", "rain_seed")
 
 # spec fields each explicit synthetic oracle kind needs
 _SYNTHETIC_FIELDS = {
@@ -162,9 +164,11 @@ def resolve_config(raw: dict, overrides: dict = None) -> dict:
     ):
         _fail("thresholds", "must be a list of numbers in [0, 1]")
 
-    if "preset" in cfg["oracle"] and cfg["space"] != "distortion":
-        _fail("space", "oracle presets are defined on the distortion space; "
-              "use an explicit oracle spec with a custom space")
+    if cfg["space"] != "distortion" and (
+        "preset" in cfg["oracle"] or cfg["oracle"]["kind"] == "classifier"
+    ):
+        _fail("space", "oracle presets and classifier oracles are defined on the "
+              "distortion space; use a synthetic oracle spec with a custom space")
     try:
         _synthetic_spec(cfg)
     except (TypeError, ValueError, ArithmeticError) as exc:
@@ -210,20 +214,50 @@ def _resolve_oracle_field(value):
                 _fail(f"oracle.{need}", f"required for {kind} oracles")
         return value
     if kind == "classifier":
-        dataset = value.get("dataset")
-        if not isinstance(dataset, dict) or dataset.get("type") not in ("blobs", "idx"):
-            _fail("oracle.dataset", "must be an object with type 'blobs' or 'idx'")
+        unknown = set(value) - set(_CLASSIFIER_FIELDS)
+        if unknown:
+            _fail("oracle", f"unknown classifier oracle fields: {sorted(unknown)}")
+        _classifier_dataset(value)
         clf = value.get("classifier", "nearest-centroid")
         if clf not in ("nearest-centroid", "k-nn"):
             _fail("oracle.classifier", f"must be 'nearest-centroid' or 'k-nn', got {clf!r}")
         value["classifier"] = clf
         value.setdefault("rain_seed", 0)
-        if dataset["type"] == "idx":
-            for need in ("images", "labels"):
-                if need not in dataset:
-                    _fail(f"oracle.dataset.{need}", "required for idx datasets")
+        if not _is_int(value["rain_seed"]) or value["rain_seed"] < 0:
+            _fail("oracle.rain_seed", f"must be an unsigned integer, got {value['rain_seed']!r}")
         return value
     _fail("oracle.kind", f"must be box, ellipsoid, multimodal or classifier, got {kind!r}")
+
+
+def _classifier_dataset(spec: dict) -> dict:
+    """The classifier oracle's dataset merged with its defaults, every field
+    checked; validation and build_oracle both read it from here."""
+    dataset = spec.get("dataset")
+    if not isinstance(dataset, dict) or dataset.get("type") not in _DATASET_DEFAULTS:
+        _fail("oracle.dataset", "must be an object with type 'blobs' or 'idx'")
+    defaults = _DATASET_DEFAULTS[dataset["type"]]
+    unknown = set(dataset) - set(defaults)
+    if unknown:
+        _fail("oracle.dataset", f"unknown {dataset['type']} dataset fields: {sorted(unknown)}")
+    d = {**defaults, **dataset}
+    if d["type"] == "idx":
+        for need in ("images", "labels"):
+            if not isinstance(d[need], str):
+                _fail(f"oracle.dataset.{need}", f"required for idx datasets, a file path; "
+                      f"got {d[need]!r}")
+        minimum = {"verification_limit": 1, "train_limit": 1}
+    else:
+        if not _is_int(d["n_classes"]) or not 2 <= d["n_classes"] <= 4:
+            _fail("oracle.dataset.n_classes", f"must be an integer in [2, 4], got {d['n_classes']!r}")
+        if not _is_number(d["noise"]) or not 0.0 <= d["noise"] < float("inf"):
+            _fail("oracle.dataset.noise", f"must be a finite number >= 0, got {d['noise']!r}")
+        # at least one image of each class in both sets
+        minimum = {"n_verification": d["n_classes"], "n_train": d["n_classes"],
+                   "size": 1, "seed": 0}
+    for name, least in minimum.items():
+        if not _is_int(d[name]) or d[name] < least:
+            _fail(f"oracle.dataset.{name}", f"must be an integer >= {least}, got {d[name]!r}")
+    return d
 
 
 def _sampler_config(cfg: dict) -> SamplerConfig:
@@ -268,9 +302,8 @@ def build_oracle(cfg: dict):
         return oracles_mod.make_synthetic_oracle(synthetic)
     # classifier oracle
     spec = cfg["oracle"]
-    dataset = spec["dataset"]
-    if dataset["type"] == "blobs":
-        d = {**_ORACLE_DEFAULTS_BLOBS, **dataset}
+    d = _classifier_dataset(spec)
+    if d["type"] == "blobs":
         verification = oracles_mod.make_blob_verification_set(
             d["n_verification"], d["n_classes"], d["size"], d["seed"], d["noise"]
         )
@@ -278,11 +311,8 @@ def build_oracle(cfg: dict):
             d["n_train"], d["n_classes"], d["size"], d["seed"] + 1, d["noise"]
         )
     else:
-        full = oracles_mod.load_idx_verification_set(
-            dataset["images"], dataset["labels"]
-        )
-        n_ver = dataset.get("verification_limit", 200)
-        n_train = dataset.get("train_limit", 200)
+        full = oracles_mod.load_idx_verification_set(d["images"], d["labels"])
+        n_ver, n_train = d["verification_limit"], d["train_limit"]
         if full.n < n_ver + n_train:
             raise ConfigError(
                 f"idx dataset has {full.n} images, need {n_ver + n_train}"
@@ -305,10 +335,6 @@ def build_oracle(cfg: dict):
 # Manifest and output plumbing
 # ---------------------------------------------------------------------------
 
-def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
-
-
 def _json_safe(cfg: dict) -> dict:
     # the output directory is delivery plumbing, not part of the experiment
     doc = {k: v for k, v in cfg.items() if k != "out"}
@@ -321,7 +347,7 @@ def write_manifest(out_dir: Path, cfg: dict, command: str, extra: dict = None) -
         "package_version": __version__,
         "command": command,
         "config": _json_safe(cfg),
-        "config_hash": config_hash(_json_safe(cfg)),
+        "config_hash": ev.config_hash(_json_safe(cfg)),
     }
     doc.update(extra or {})
     with open(out_dir / "manifest.json", "w") as fh:
@@ -435,7 +461,7 @@ def cmd_train(cfg: dict, data_path: str) -> int:
     space = build_space(cfg)
     data = _read_training_csv(data_path, space, cfg["h"])
     for kind in cfg["kinds"]:
-        model = models_mod.train(kind, data, space, seed=cfg["seeds"][0])
+        model = models_mod.train(kind, data, space)
         name = f"model_{kind}.json"
         models_mod.save_model(out / name, model)
         print(f"wrote {out / name}")

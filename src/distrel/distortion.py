@@ -109,53 +109,3 @@ def distort_set(images, level, rain_seed: int = 0) -> list:
     """Element-wise distortion; image i uses rain seed ``rain_seed + i``."""
     return [apply_distortion(im, level, rain_seed + i) for i, im in enumerate(images)]
 
-
-# ---------------------------------------------------------------------------
-# Binary PGM (P5) / PPM (P6) for debugging dumps
-# ---------------------------------------------------------------------------
-
-def write_pnm(path, img) -> None:
-    arr = _as_3d(img)
-    h, w, ch = arr.shape
-    data = np.rint(arr * 255.0).astype(np.uint8)
-    if ch == 1:
-        header = f"P5\n{w} {h}\n255\n".encode("ascii")
-        payload = data[:, :, 0].tobytes()
-    else:
-        header = f"P6\n{w} {h}\n255\n".encode("ascii")
-        payload = data.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header + payload)
-
-
-def read_pnm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(raw[start:pos])
-    pos += 1  # single whitespace byte after maxval
-
-    magic, w, h, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if magic not in (b"P5", b"P6"):
-        raise ValueError(f"unsupported PNM magic {magic!r}")
-    if maxval != 255:
-        raise ValueError(f"only maxval 255 is supported, got {maxval}")
-    channels = 1 if magic == b"P5" else 3
-    need = w * h * channels
-    body = np.frombuffer(raw, dtype=np.uint8, count=need, offset=pos)
-    img = body.astype(np.float64) / 255.0
-    if channels == 1:
-        return img.reshape(h, w)
-    return img.reshape(h, w, 3)

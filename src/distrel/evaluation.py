@@ -56,6 +56,11 @@ class Metrics:
         }
 
 
+def config_hash(config: dict) -> str:
+    """sha256 of the config's sorted-key JSON; reports and manifests share it."""
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+
+
 def f1_score(predictions, truth) -> Metrics:
     """Standard confusion counts; 0/0 ratios resolve to 0."""
     predictions = np.asarray(predictions, dtype=np.int64).reshape(-1)
@@ -172,8 +177,7 @@ class ExperimentReport:
     # -- serialization ---------------------------------------------------------
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.config, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return config_hash(self.config)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -281,7 +285,7 @@ def _evaluate_cells(train_sets, grid, space, methods, kinds, workers=1):
         if isinstance(pre, Exception):
             return CellResult(sampler, method, kind, seed, error=str(pre))
         try:
-            model = models_mod.train(kind, pre, space, seed=seed)
+            model = models_mod.train(kind, pre, space)
             preds = model.predict(grid.levels)
             metrics = f1_score(preds, grid.labels)
             return CellResult(sampler, method, kind, seed, metrics=metrics)

@@ -1,11 +1,20 @@
 """Distortion-classifiers: map a distortion level to a reliable/non-reliable label.
 
-Three families — logistic regression (full-batch gradient descent on weighted
-cross-entropy), a CART decision tree (Gini impurity with weighted counts),
-and k-NN (weights ignored). All operate on features normalized to the unit
-cube; each trained model snapshots the normalization bounds it was fitted
-with. Tie conventions are fixed: logistic probability 0.5 maps to label 1,
-k-NN vote ties map to label 0, tree leaf ties map to label 0.
+``train(kind, data, space, hyper)`` fits one of ``KINDS`` on a rebalanced set;
+``hyper`` may override the fixed defaults each kind lists in ``HYPER``:
+
+- ``logistic``: logistic regression by full-batch gradient descent on the
+  weighted cross-entropy, 500 epochs at learning rate 0.1 (halved once if
+  the loss rises);
+- ``tree``: a CART decision tree on Gini impurity with weighted counts,
+  depth 8, at least 5 rows per leaf;
+- ``knn``: k-nearest neighbours with k = 5; it ignores sample weights.
+
+All operate on features normalized to the unit cube; each trained model
+snapshots the normalization bounds it was fitted with and serializes them
+with its hyperparameters and fitted parameters. Tie conventions are fixed:
+logistic probability 0.5 maps to label 1, k-NN vote ties map to label 0,
+tree leaf ties map to label 0.
 """
 
 import json
@@ -17,14 +26,7 @@ from distrel import _kernels
 from distrel.rebalance import RebalancedSet
 from distrel.space import SearchSpace
 
-KINDS = ("logistic", "tree", "knn")
 MODEL_FORMAT_VERSION = 1
-
-LOGISTIC_EPOCHS = 500
-LOGISTIC_LR = 0.1
-TREE_MAX_DEPTH = 8
-TREE_MIN_LEAF = 5
-KNN_K = 5
 
 
 def _sigmoid(s):
@@ -49,109 +51,8 @@ def logistic_loss_and_grad(w, x, y, sample_weights):
     return loss, grad
 
 
-class LogisticModel:
-    kind = "logistic"
-
-    def __init__(self, weights, bounds_lower, bounds_upper, hyper, final_grad_norm):
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.bounds_lower = np.asarray(bounds_lower, dtype=np.float64)
-        self.bounds_upper = np.asarray(bounds_upper, dtype=np.float64)
-        self.hyper = dict(hyper)
-        self.final_grad_norm = float(final_grad_norm)
-
-    def predict_proba(self, levels) -> np.ndarray:
-        x = _design_matrix(levels, self.bounds_lower, self.bounds_upper)
-        return _sigmoid(x @ self.weights)
-
-    def predict(self, levels) -> np.ndarray:
-        return (self.predict_proba(levels) >= 0.5).astype(np.int64)
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": self.kind,
-            "hyper": self.hyper,
-            "params": {
-                "weights": self.weights.tolist(),
-                "final_grad_norm": self.final_grad_norm,
-            },
-            "bounds": {
-                "lower": self.bounds_lower.tolist(),
-                "upper": self.bounds_upper.tolist(),
-            },
-        }
-
-
-class TreeModel:
-    kind = "tree"
-
-    def __init__(self, root, bounds_lower, bounds_upper, hyper):
-        self.root = root
-        self.bounds_lower = np.asarray(bounds_lower, dtype=np.float64)
-        self.bounds_upper = np.asarray(bounds_upper, dtype=np.float64)
-        self.hyper = dict(hyper)
-
-    def predict(self, levels) -> np.ndarray:
-        z = _normalize(levels, self.bounds_lower, self.bounds_upper)
-        out = np.empty(z.shape[0], dtype=np.int64)
-        for i in range(z.shape[0]):
-            node = self.root
-            while "label" not in node:
-                if z[i, node["feature"]] <= node["threshold"]:
-                    node = node["left"]
-                else:
-                    node = node["right"]
-            out[i] = node["label"]
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": self.kind,
-            "hyper": self.hyper,
-            "params": {"root": self.root},
-            "bounds": {
-                "lower": self.bounds_lower.tolist(),
-                "upper": self.bounds_upper.tolist(),
-            },
-        }
-
-
-class KnnModel:
-    kind = "knn"
-
-    def __init__(self, points, labels, bounds_lower, bounds_upper, hyper):
-        self.points = np.asarray(points, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.bounds_lower = np.asarray(bounds_lower, dtype=np.float64)
-        self.bounds_upper = np.asarray(bounds_upper, dtype=np.float64)
-        self.hyper = dict(hyper)
-
-    def predict(self, levels) -> np.ndarray:
-        z = _normalize(levels, self.bounds_lower, self.bounds_upper)
-        k = min(int(self.hyper["k"]), self.points.shape[0])
-        d = _kernels.pairwise_sq_dists(
-            np.ascontiguousarray(z), np.ascontiguousarray(self.points)
-        )
-        order = np.argsort(d, axis=1, kind="stable")[:, :k]
-        votes = self.labels[order].sum(axis=1)
-        # strict majority of ones; ties (even k with votes == k/2) go to 0
-        return (2 * votes > k).astype(np.int64)
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": self.kind,
-            "hyper": self.hyper,
-            "params": {
-                "points": self.points.tolist(),
-                "labels": self.labels.tolist(),
-            },
-            "bounds": {
-                "lower": self.bounds_lower.tolist(),
-                "upper": self.bounds_upper.tolist(),
-            },
-        }
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
 
 
 def _normalize(levels, lower, upper) -> np.ndarray:
@@ -163,58 +64,162 @@ def _normalize(levels, lower, upper) -> np.ndarray:
     return (levels - lower) / (upper - lower)
 
 
-def _design_matrix(levels, lower, upper) -> np.ndarray:
-    z = _normalize(levels, lower, upper)
+def _design_matrix(z) -> np.ndarray:
     return np.hstack([np.ones((z.shape[0], 1)), z])
 
 
-def train(kind: str, data: RebalancedSet, space: SearchSpace, hyper: dict = None, seed: int = 0):
-    """Train one distortion-classifier kind on a rebalanced set."""
-    if kind not in KINDS:
+class _Model:
+    """The envelope every kind shares.
+
+    A model holds the normalization bounds it was fitted with, its
+    hyperparameters (``HYPER`` gives each name and its default) and its
+    fitted parameters (``PARAMS`` gives each attribute name and its type).
+    ``fit`` turns normalized levels into those parameters.
+    """
+
+    kind = None
+    HYPER = {}
+    PARAMS = {}
+
+    def __init__(self, bounds_lower, bounds_upper, hyper, **params):
+        self.bounds_lower = _floats(bounds_lower)
+        self.bounds_upper = _floats(bounds_upper)
+        self.hyper = dict(hyper)
+        for name, convert in self.PARAMS.items():
+            setattr(self, name, convert(params[name]))
+
+    def _normalize(self, levels) -> np.ndarray:
+        return _normalize(levels, self.bounds_lower, self.bounds_upper)
+
+    def to_dict(self) -> dict:
+        params = {name: getattr(self, name) for name in self.PARAMS}
+        return {
+            "format_version": MODEL_FORMAT_VERSION,
+            "kind": self.kind,
+            "hyper": self.hyper,
+            "params": {
+                k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in params.items()
+            },
+            "bounds": {
+                "lower": self.bounds_lower.tolist(),
+                "upper": self.bounds_upper.tolist(),
+            },
+        }
+
+
+class LogisticModel(_Model):
+    kind = "logistic"
+    HYPER = {"epochs": 500, "learning_rate": 0.1}
+    PARAMS = {"weights": _floats, "final_grad_norm": float}
+
+    @staticmethod
+    def fit(z, data: RebalancedSet, hyper: dict) -> dict:
+        """Gradient descent; one retry at half the rate (recorded in
+        ``hyper``) before giving up on monotone descent."""
+        x = _design_matrix(z)
+        y = data.labels.astype(np.float64)
+        epochs, lr = hyper["epochs"], hyper["learning_rate"]
+        weights, grad_norm, ok = _descend(x, y, data.weights, epochs, lr)
+        if not ok:
+            hyper["learning_rate"] = lr / 2.0
+            weights, grad_norm, ok = _descend(x, y, data.weights, epochs, lr / 2.0)
+            if not ok:
+                raise RuntimeError("logistic loss increased even after halving the rate")
+        return {"weights": weights, "final_grad_norm": grad_norm}
+
+    def predict_proba(self, levels) -> np.ndarray:
+        return _sigmoid(_design_matrix(self._normalize(levels)) @ self.weights)
+
+    def predict(self, levels) -> np.ndarray:
+        return (self.predict_proba(levels) >= 0.5).astype(np.int64)
+
+
+class TreeModel(_Model):
+    kind = "tree"
+    HYPER = {"max_depth": 8, "min_leaf": 5}
+    PARAMS = {"root": dict}
+
+    @staticmethod
+    def fit(z, data: RebalancedSet, hyper: dict) -> dict:
+        return {"root": _build_node(
+            z, data.labels, data.weights, 0, hyper["max_depth"], hyper["min_leaf"]
+        )}
+
+    def predict(self, levels) -> np.ndarray:
+        z = self._normalize(levels)
+        out = np.empty(z.shape[0], dtype=np.int64)
+        for i in range(z.shape[0]):
+            node = self.root
+            while "label" not in node:
+                if z[i, node["feature"]] <= node["threshold"]:
+                    node = node["left"]
+                else:
+                    node = node["right"]
+            out[i] = node["label"]
+        return out
+
+
+class KnnModel(_Model):
+    kind = "knn"
+    HYPER = {"k": 5}
+    PARAMS = {"points": _floats, "labels": lambda v: np.asarray(v, dtype=np.int64)}
+
+    @staticmethod
+    def fit(z, data: RebalancedSet, hyper: dict) -> dict:
+        if hyper["k"] < 1:
+            raise ValueError(f"k must be >= 1, got {hyper['k']}")
+        if not np.allclose(data.weights, 1.0):
+            warnings.warn(
+                "k-NN ignores sample weights; use logistic or tree for reweighting",
+                stacklevel=3,
+            )
+        return {"points": z, "labels": data.labels}
+
+    def predict(self, levels) -> np.ndarray:
+        z = self._normalize(levels)
+        k = min(int(self.hyper["k"]), self.points.shape[0])
+        d = _kernels.pairwise_sq_dists(
+            np.ascontiguousarray(z), np.ascontiguousarray(self.points)
+        )
+        order = np.argsort(d, axis=1, kind="stable")[:, :k]
+        votes = self.labels[order].sum(axis=1)
+        # strict majority of ones; ties (even k with votes == k/2) go to 0
+        return (2 * votes > k).astype(np.int64)
+
+
+_KINDS = {cls.kind: cls for cls in (LogisticModel, TreeModel, KnnModel)}
+KINDS = tuple(_KINDS)
+
+
+def _model_class(kind):
+    if kind not in _KINDS:
         raise ValueError(f"unknown model kind {kind!r}; known: {KINDS}")
+    return _KINDS[kind]
+
+
+def _parse_hyper(cls, hyper) -> dict:
+    """The kind's defaults overridden by ``hyper``, cast to the defaults' types."""
+    hyper = dict(hyper or {})
+    unknown = sorted(set(hyper) - set(cls.HYPER))
+    if unknown:
+        raise ValueError(f"unknown {cls.kind} hyperparameters {unknown}")
+    return {name: type(default)(hyper.get(name, default)) for name, default in cls.HYPER.items()}
+
+
+def train(kind: str, data: RebalancedSet, space: SearchSpace, hyper: dict = None):
+    """Train one distortion-classifier kind on a rebalanced set."""
+    cls = _model_class(kind)
     counts = data.class_counts()
     if min(counts) == 0:
         raise ValueError(f"training data has a single class (counts {counts})")
-    hyper = dict(hyper or {})
-    if kind == "logistic":
-        return _train_logistic(data, space, hyper)
-    if kind == "tree":
-        return _train_tree(data, space, hyper)
-    return _train_knn(data, space, hyper)
+    hyper = _parse_hyper(cls, hyper)
+    params = cls.fit(_normalize(data.levels, space.lowers, space.uppers), data, hyper)
+    return cls(space.lowers, space.uppers, hyper, **params)
 
 
 def predict_label(model, level) -> int:
     """Deterministic 0/1 prediction at a single level."""
     return int(model.predict(np.asarray(level, dtype=np.float64)[None, :])[0])
-
-
-# ---------------------------------------------------------------------------
-# Logistic regression
-# ---------------------------------------------------------------------------
-
-def _train_logistic(data: RebalancedSet, space: SearchSpace, hyper: dict):
-    epochs = int(hyper.pop("epochs", LOGISTIC_EPOCHS))
-    lr = float(hyper.pop("learning_rate", LOGISTIC_LR))
-    if hyper:
-        raise ValueError(f"unknown logistic hyperparameters {sorted(hyper)}")
-    x = _design_matrix(data.levels, space.lowers, space.uppers)
-    y = data.labels.astype(np.float64)
-    sw = data.weights
-
-    weights, grad_norm, ok = _descend(x, y, sw, epochs, lr)
-    if not ok:
-        # one retry at half the rate before giving up on monotone descent
-        weights, grad_norm, ok = _descend(x, y, sw, epochs, lr / 2.0)
-        lr = lr / 2.0
-        if not ok:
-            raise RuntimeError("logistic loss increased even after halving the rate")
-    return LogisticModel(
-        weights,
-        space.lowers,
-        space.uppers,
-        {"epochs": epochs, "learning_rate": lr},
-        grad_norm,
-    )
 
 
 def _descend(x, y, sw, epochs, lr):
@@ -227,23 +232,6 @@ def _descend(x, y, sw, epochs, lr):
             return w, float(np.linalg.norm(grad)), False
         prev_loss = loss
     return w, float(np.linalg.norm(grad)), True
-
-
-# ---------------------------------------------------------------------------
-# CART decision tree
-# ---------------------------------------------------------------------------
-
-def _train_tree(data: RebalancedSet, space: SearchSpace, hyper: dict):
-    max_depth = int(hyper.pop("max_depth", TREE_MAX_DEPTH))
-    min_leaf = int(hyper.pop("min_leaf", TREE_MIN_LEAF))
-    if hyper:
-        raise ValueError(f"unknown tree hyperparameters {sorted(hyper)}")
-    z = _normalize(data.levels, space.lowers, space.uppers)
-    root = _build_node(z, data.labels, data.weights, 0, max_depth, min_leaf)
-    return TreeModel(
-        root, space.lowers, space.uppers,
-        {"max_depth": max_depth, "min_leaf": min_leaf},
-    )
 
 
 def _leaf(labels, weights) -> dict:
@@ -311,49 +299,14 @@ def _build_node(z, labels, weights, depth, max_depth, min_leaf) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# k-NN
-# ---------------------------------------------------------------------------
-
-def _train_knn(data: RebalancedSet, space: SearchSpace, hyper: dict):
-    k = int(hyper.pop("k", KNN_K))
-    if hyper:
-        raise ValueError(f"unknown knn hyperparameters {sorted(hyper)}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not np.allclose(data.weights, 1.0):
-        warnings.warn(
-            "k-NN ignores sample weights; use logistic or tree for reweighting",
-            stacklevel=3,
-        )
-    z = _normalize(data.levels, space.lowers, space.uppers)
-    return KnnModel(z, data.labels, space.lowers, space.uppers, {"k": k})
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
 def model_from_dict(doc: dict):
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    kind = doc["kind"]
-    lower = np.asarray(doc["bounds"]["lower"], dtype=np.float64)
-    upper = np.asarray(doc["bounds"]["upper"], dtype=np.float64)
-    if kind == "logistic":
-        return LogisticModel(
-            doc["params"]["weights"], lower, upper, doc["hyper"],
-            doc["params"]["final_grad_norm"],
-        )
-    if kind == "tree":
-        return TreeModel(doc["params"]["root"], lower, upper, doc["hyper"])
-    if kind == "knn":
-        return KnnModel(
-            doc["params"]["points"], doc["params"]["labels"], lower, upper,
-            doc["hyper"],
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    bounds = doc["bounds"]
+    return _model_class(doc["kind"])(
+        bounds["lower"], bounds["upper"], doc["hyper"], **doc["params"]
+    )
 
 
 def save_model(path, model) -> None:

@@ -22,16 +22,6 @@ THRESHOLD_PRESETS = {
     "imagenette": 0.70,
 }
 
-# Verification-set sizes used alongside the thresholds above.
-VERIFICATION_SIZE_PRESETS = {
-    "mnist": 6000,
-    "fashion": 6000,
-    "cifar10": 5000,
-    "cifar100": 5000,
-    "tiny-imagenet": 10000,
-    "imagenette": 1000,
-}
-
 BENCHMARK_H = THRESHOLD_PRESETS["cifar10"]
 
 

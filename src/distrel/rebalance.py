@@ -1,10 +1,20 @@
 """Rebalance a labeled training set before classifier training.
 
-Over-sampling (SMOTE, random duplication), under-sampling (random,
-NearMiss-1) and cost-sensitive re-weighting. All distance computations run on
-coordinates normalized to the unit cube, otherwise the wide rotation axis
-would dominate. Every method leaves real samples untouched and is
-deterministic given (input, parameters, seed).
+``rebalance(labeled, method, space, seed)`` dispatches on one of ``METHODS``:
+
+- ``none``: the set as is, unit weights;
+- ``smote``: SMOTE with k = 5, falling back to ``random-over`` when the
+  minority class holds a single sample;
+- ``random-over`` / ``random-under``: random duplication of the minority or
+  subsampling of the majority;
+- ``near-miss``: NearMiss-1 with k = 3;
+- ``reweight``: cost-sensitive weights, no resampling.
+
+Every method returns the real rows it keeps, in their original order, then
+any synthetic rows with the real row each came from. All distance
+computations run on coordinates normalized to the unit cube, otherwise the
+wide rotation axis would dominate. Every method is deterministic given
+(input, parameters, seed).
 """
 
 from dataclasses import dataclass, field, replace
@@ -15,8 +25,6 @@ from distrel import _kernels
 from distrel.sampling import LabeledSet
 from distrel.sampling import minority_label as _minority_label
 from distrel.space import SearchSpace
-
-METHODS = ("none", "smote", "random-over", "random-under", "near-miss", "reweight")
 
 
 @dataclass(frozen=True)
@@ -59,24 +67,31 @@ class RebalancedSet:
         return int(np.sum(self.labels == 0)), int(np.sum(self.labels == 1))
 
 
-def _passthrough(labeled: LabeledSet, method: str, **params) -> RebalancedSet:
-    n = labeled.n
+def _assemble(
+    labeled: LabeledSet, provenance: dict, keep=None, parents=None, new_levels=None,
+    weights=None,
+) -> RebalancedSet:
+    """The real rows at ``keep`` (all by default), then one synthetic row per
+    entry of ``parents`` carrying that parent's label, at ``new_levels`` (a
+    copy of the parent by default); unit weights unless ``weights`` is given."""
+    keep = np.arange(labeled.n) if keep is None else keep
+    parents = np.empty(0, dtype=np.int64) if parents is None else parents
+    new_levels = labeled.levels[parents] if new_levels is None else new_levels
+    n_real, n = keep.size, keep.size + parents.size
     return RebalancedSet(
-        levels=labeled.levels.copy(),
-        labels=labeled.labels.copy(),
-        weights=np.ones(n),
-        is_synthetic=np.zeros(n, dtype=bool),
-        parent_index=np.full(n, -1, dtype=np.int64),
-        provenance={"method": method, **params},
+        levels=np.vstack([labeled.levels[keep], new_levels]),
+        labels=labeled.labels[np.concatenate([keep, parents])],
+        weights=np.ones(n) if weights is None else weights,
+        is_synthetic=np.arange(n) >= n_real,
+        parent_index=np.concatenate([np.full(n_real, -1, dtype=np.int64), parents]),
+        provenance=provenance,
     )
 
 
 def _split(labeled: LabeledSet) -> tuple:
-    """(minority_label, minority_idx, majority_idx); ties pick label 1 as minority."""
+    """(minority_idx, majority_idx); ties pick label 1 as minority."""
     label = _minority_label(labeled.labels)
-    min_idx = np.flatnonzero(labeled.labels == label)
-    maj_idx = np.flatnonzero(labeled.labels != label)
-    return label, min_idx, maj_idx
+    return np.flatnonzero(labeled.labels == label), np.flatnonzero(labeled.labels != label)
 
 
 def _single_class(labeled: LabeledSet) -> str:
@@ -84,6 +99,14 @@ def _single_class(labeled: LabeledSet) -> str:
     if labeled.n == 0:
         return "the set is empty"
     return f"the set holds a single class: all {labeled.n} labels are {int(labeled.labels[0])}"
+
+
+def _split_both(labeled: LabeledSet) -> tuple:
+    """``_split`` for methods that need both classes present."""
+    min_idx, maj_idx = _split(labeled)
+    if min_idx.size == 0:
+        raise ValueError(f"both classes must be non-empty; {_single_class(labeled)}")
+    return min_idx, maj_idx
 
 
 def smote(
@@ -102,10 +125,10 @@ def smote(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    minority_label, min_idx, maj_idx = _split(labeled)
+    min_idx, maj_idx = _split(labeled)
     need = maj_idx.size - min_idx.size
     if need == 0:
-        return _passthrough(labeled, "smote", k=k, seed=seed)
+        return _assemble(labeled, {"method": "smote", "k": k, "seed": seed})
     if min_idx.size < 2:
         advice = "fall back to random_over" if min_idx.size else _single_class(labeled)
         raise ValueError(
@@ -129,67 +152,28 @@ def smote(
         other = labeled.levels[min_idx[b]]
         new_levels[i] = base + frac * (other - base)
         parents[i] = min_idx[a]
-
-    n = labeled.n
-    return RebalancedSet(
-        levels=np.vstack([labeled.levels, new_levels]),
-        labels=np.concatenate(
-            [labeled.labels, np.full(need, minority_label, dtype=np.int64)]
-        ),
-        weights=np.ones(n + need),
-        is_synthetic=np.concatenate(
-            [np.zeros(n, dtype=bool), np.ones(need, dtype=bool)]
-        ),
-        parent_index=np.concatenate([np.full(n, -1, dtype=np.int64), parents]),
-        provenance={"method": "smote", "k": k, "k_effective": k_eff, "seed": seed},
+    return _assemble(
+        labeled, {"method": "smote", "k": k, "k_effective": k_eff, "seed": seed},
+        parents=parents, new_levels=new_levels,
     )
 
 
 def random_over(labeled: LabeledSet, seed: int = 0) -> RebalancedSet:
     """Duplicate uniformly chosen minority samples until counts match."""
-    minority_label, min_idx, maj_idx = _split(labeled)
-    if min_idx.size == 0:
-        raise ValueError(f"both classes must be non-empty; {_single_class(labeled)}")
-    need = maj_idx.size - min_idx.size
-    if need == 0:
-        return _passthrough(labeled, "random-over", seed=seed)
+    min_idx, maj_idx = _split_both(labeled)
     rng = np.random.default_rng(seed)
-    picks = min_idx[rng.integers(min_idx.size, size=need)]
-    n = labeled.n
-    return RebalancedSet(
-        levels=np.vstack([labeled.levels, labeled.levels[picks]]),
-        labels=np.concatenate([labeled.labels, labeled.labels[picks]]),
-        weights=np.ones(n + need),
-        is_synthetic=np.concatenate(
-            [np.zeros(n, dtype=bool), np.ones(need, dtype=bool)]
-        ),
-        parent_index=np.concatenate([np.full(n, -1, dtype=np.int64), picks]),
-        provenance={"method": "random-over", "seed": seed},
-    )
+    picks = min_idx[rng.integers(min_idx.size, size=maj_idx.size - min_idx.size)]
+    return _assemble(labeled, {"method": "random-over", "seed": seed}, parents=picks)
 
 
 def random_under(labeled: LabeledSet, seed: int = 0) -> RebalancedSet:
     """Subsample the majority class down to the minority count."""
-    minority_label, min_idx, maj_idx = _split(labeled)
-    if min_idx.size == 0:
-        raise ValueError(f"both classes must be non-empty; {_single_class(labeled)}")
-    if maj_idx.size == min_idx.size:
-        return _passthrough(labeled, "random-under", seed=seed)
+    min_idx, maj_idx = _split_both(labeled)
     rng = np.random.default_rng(seed)
-    kept_maj = maj_idx[
-        np.sort(rng.choice(maj_idx.size, size=min_idx.size, replace=False))
-    ]
-    keep = np.zeros(labeled.n, dtype=bool)
-    keep[min_idx] = True
-    keep[kept_maj] = True
-    n_kept = int(keep.sum())
-    return RebalancedSet(
-        levels=labeled.levels[keep],
-        labels=labeled.labels[keep],
-        weights=np.ones(n_kept),
-        is_synthetic=np.zeros(n_kept, dtype=bool),
-        parent_index=np.full(n_kept, -1, dtype=np.int64),
-        provenance={"method": "random-under", "seed": seed},
+    kept_maj = maj_idx[rng.choice(maj_idx.size, size=min_idx.size, replace=False)]
+    return _assemble(
+        labeled, {"method": "random-under", "seed": seed},
+        keep=np.union1d(min_idx, kept_maj),
     )
 
 
@@ -201,11 +185,9 @@ def near_miss(labeled: LabeledSet, space: SearchSpace, k: int = 3) -> Rebalanced
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    minority_label, min_idx, maj_idx = _split(labeled)
-    if min_idx.size == 0:
-        raise ValueError(f"minority class is empty; {_single_class(labeled)}")
+    min_idx, maj_idx = _split_both(labeled)
     if maj_idx.size == min_idx.size:
-        return _passthrough(labeled, "near-miss", k=k)
+        return _assemble(labeled, {"method": "near-miss", "k": k})
     k_eff = min(k, min_idx.size)
 
     z = space.normalize(labeled.levels)
@@ -215,44 +197,43 @@ def near_miss(labeled: LabeledSet, space: SearchSpace, k: int = 3) -> Rebalanced
     dist = np.sqrt(d2)
     dist.sort(axis=1)
     mean_near = dist[:, :k_eff].mean(axis=1)
-    order = np.argsort(mean_near, kind="stable")[: min_idx.size]
-    kept_maj = maj_idx[np.sort(order)]
-
-    keep = np.zeros(labeled.n, dtype=bool)
-    keep[min_idx] = True
-    keep[kept_maj] = True
-    n_kept = int(keep.sum())
-    return RebalancedSet(
-        levels=labeled.levels[keep],
-        labels=labeled.labels[keep],
-        weights=np.ones(n_kept),
-        is_synthetic=np.zeros(n_kept, dtype=bool),
-        parent_index=np.full(n_kept, -1, dtype=np.int64),
-        provenance={"method": "near-miss", "k": k, "k_effective": k_eff},
+    kept_maj = maj_idx[np.argsort(mean_near, kind="stable")[: min_idx.size]]
+    return _assemble(
+        labeled, {"method": "near-miss", "k": k, "k_effective": k_eff},
+        keep=np.union1d(min_idx, kept_maj),
     )
 
 
 def cost_sensitive_weights(labeled: LabeledSet) -> RebalancedSet:
     """No resampling; weight = total / (2 * class_count), equal mass per class."""
-    n_pos = labeled.positive_count
-    n_neg = labeled.n - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError(f"both classes must be non-empty; {_single_class(labeled)}")
-    out = _passthrough(labeled, "reweight")
-    class_counts = np.array([n_neg, n_pos], dtype=np.float64)
+    _split_both(labeled)
+    class_counts = np.bincount(labeled.labels, minlength=2).astype(np.float64)
     weights = labeled.n / (2.0 * class_counts[labeled.labels])
-    return RebalancedSet(
-        levels=out.levels,
-        labels=out.labels,
-        weights=weights,
-        is_synthetic=out.is_synthetic,
-        parent_index=out.parent_index,
-        provenance={"method": "reweight"},
-    )
+    return _assemble(labeled, {"method": "reweight"}, weights=weights)
+
+
+def _smote_or_over(labeled: LabeledSet, space: SearchSpace, seed: int) -> RebalancedSet:
+    min_idx, maj_idx = _split(labeled)
+    if min_idx.size == 1 and maj_idx.size > 1:
+        out = random_over(labeled, seed=seed)
+        return replace(out, provenance={**out.provenance, "fallback_from": "smote"})
+    return smote(labeled, space, seed=seed)
+
+
+# name -> method(labeled, space, seed)
+_METHODS = {
+    "none": lambda labeled, space, seed: _assemble(labeled, {"method": "none"}),
+    "smote": _smote_or_over,
+    "random-over": lambda labeled, space, seed: random_over(labeled, seed=seed),
+    "random-under": lambda labeled, space, seed: random_under(labeled, seed=seed),
+    "near-miss": lambda labeled, space, seed: near_miss(labeled, space),
+    "reweight": lambda labeled, space, seed: cost_sensitive_weights(labeled),
+}
+METHODS = tuple(_METHODS)
 
 
 def rebalance(
-    labeled: LabeledSet, method: str, space: SearchSpace, seed: int = 0, k: int = None
+    labeled: LabeledSet, method: str, space: SearchSpace, seed: int = 0
 ) -> RebalancedSet:
     """Dispatch by method name; "none" passes the set through with unit weights.
 
@@ -261,20 +242,6 @@ def rebalance(
     records ``fallback_from: "smote"`` in the provenance. A single-class set
     raises for every method but "none".
     """
-    if method == "none":
-        return _passthrough(labeled, "none")
-    if method == "smote":
-        _, min_idx, maj_idx = _split(labeled)
-        if min_idx.size == 1 and maj_idx.size > 1:
-            out = random_over(labeled, seed=seed)
-            return replace(out, provenance={**out.provenance, "fallback_from": "smote"})
-        return smote(labeled, space, k=5 if k is None else k, seed=seed)
-    if method == "random-over":
-        return random_over(labeled, seed=seed)
-    if method == "random-under":
-        return random_under(labeled, seed=seed)
-    if method == "near-miss":
-        return near_miss(labeled, space, k=3 if k is None else k)
-    if method == "reweight":
-        return cost_sensitive_weights(labeled)
-    raise ValueError(f"unknown imbalance method {method!r}; known: {METHODS}")
+    if method not in _METHODS:
+        raise ValueError(f"unknown imbalance method {method!r}; known: {METHODS}")
+    return _METHODS[method](labeled, space, seed)

@@ -183,31 +183,18 @@ def beta_coefficient(t: int, d: int, delta: float) -> float:
     return 2.0 * (math.log(d * t * math.pi**2) - math.log(6.0 * delta))
 
 
-def acquisition(gp, c, h: float, beta: float, direction: str = "above") -> float:
-    """Score a single level against the posterior; higher is more promising.
+def acquisition(gp, points, h: float, beta: float, direction: str = "above") -> np.ndarray:
+    """Score each row of ``points`` (or a single level) against the posterior;
+    higher is more promising.
 
-    ``c`` must be in the coordinate system the posterior was fitted in.
+    ``points`` must be in the coordinate system the posterior was fitted in.
     """
-    q = _acquisition_batch(gp, np.asarray(c, dtype=np.float64)[None, :], h, beta, direction)
-    return float(q[0])
-
-
-def _acquisition_batch(gp, points, h, beta, direction):
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     if direction not in ("above", "below"):
         raise ValueError(f"direction must be 'above' or 'below', got {direction!r}")
     mean, var = gpmod.predict_batch(gp, points)
-    sigma = np.sqrt(var)
-    if direction == "above":
-        return beta * sigma + (mean - h)
-    return beta * sigma + (h - mean)
-
-
-def _acquisition_fast(gp, z, h, beta, sign):
-    """Same scores as ``_acquisition_batch`` minus validation and copies."""
-    mean, var = gpmod._predict_raw(gp, z)
-    return beta * np.sqrt(var) + sign * (mean - h)
+    return beta * np.sqrt(var) + (mean - h if direction == "above" else h - mean)
 
 
 def suggest_next(
@@ -232,11 +219,8 @@ def suggest_next(
     direction = cfg.minority_direction
     if direction == "auto":
         direction = minority_direction(gp.targets, h)
-    sign = 1.0 if direction == "above" else -1.0
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
     z_cand = rng.random((cfg.acquisition_candidates, d))
-    q = _acquisition_fast(gp, z_cand, h, beta, sign)
+    q = acquisition(gp, z_cand, h, beta, direction)
     best = int(np.argmax(q))
     z_best = z_cand[best].copy()
     q_best = q[best]
@@ -247,7 +231,7 @@ def suggest_next(
         probes = np.repeat(z_best[None, :], 2 * d, axis=0)
         probes[2 * rows, rows] = np.minimum(z_best + step, 1.0)
         probes[2 * rows + 1, rows] = np.maximum(z_best - step, 0.0)
-        q_probe = _acquisition_fast(gp, probes, h, beta, sign)
+        q_probe = acquisition(gp, probes, h, beta, direction)
         k = int(np.argmax(q_probe))
         if q_probe[k] > q_best:
             z_best = probes[k].copy()

@@ -29,6 +29,8 @@ from distrel.space import SearchSpace
 
 from test_gp import dense_solve_oracle
 
+pytestmark = pytest.mark.acceptance
+
 BENCHMARK_H = 0.85
 SEEDS = (0, 1, 2, 3, 4)
 KINDS = ("logistic", "tree", "knn")

@@ -87,6 +87,16 @@ class TestValidation:
         assert "dataset" in capsys.readouterr().err
 
 
+def classifier_oracle(rain_seed=0, extra=None, **dataset):
+    """A small blob classifier oracle with ``dataset`` fields overridden."""
+    return {
+        "kind": "classifier",
+        "dataset": {"type": "blobs", "n_verification": 10, "n_train": 10, **dataset},
+        "rain_seed": rain_seed,
+        **(extra or {}),
+    }
+
+
 # malformed configs that once crashed, exited 3 or passed validation
 CONFIG_PROBES = {
     "delta-string": {"delta": "0.1"},
@@ -103,6 +113,17 @@ CONFIG_PROBES = {
     "methods-empty": {"methods": []},
     "seeds-bool": {"seeds": [True]},
     "acquisition-candidates-bool": {"acquisition_candidates": True},
+    "classifier-n-verification-string": {"oracle": classifier_oracle(n_verification="x")},
+    "classifier-size-negative": {"oracle": classifier_oracle(size=-1)},
+    "classifier-noise-string": {"oracle": classifier_oracle(noise="x")},
+    "classifier-n-classes-5": {"oracle": classifier_oracle(n_classes=5)},
+    "classifier-rain-seed-string": {"oracle": classifier_oracle(rain_seed="x")},
+    "classifier-custom-space": {
+        "space": {"dims": [{"name": f"x{i}", "lower": 0.0, "upper": 1.0} for i in range(2)]},
+        "oracle": classifier_oracle(),
+    },
+    "classifier-unknown-field": {"oracle": classifier_oracle(extra={"colour": "red"})},
+    "classifier-dataset-unknown-field": {"oracle": classifier_oracle(sise=16)},
 }
 
 

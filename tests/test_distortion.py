@@ -6,8 +6,6 @@ from distrel.distortion import (
     distort_set,
     distortion_space,
     identity_level,
-    read_pnm,
-    write_pnm,
 )
 
 
@@ -157,26 +155,3 @@ class TestProperties:
             assert out.shape == img.shape
             assert out.min() >= 0.0 and out.max() <= 1.0
 
-
-class TestPnm:
-    def test_gray_roundtrip(self, tmp_path):
-        img = np.round(checkerboard(5, 7) * 255) / 255.0
-        path = tmp_path / "img.pgm"
-        write_pnm(path, img)
-        back = read_pnm(path)
-        np.testing.assert_allclose(back, img, atol=1e-12)
-
-    def test_rgb_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        img = np.round(rng.random((4, 6, 3)) * 255) / 255.0
-        path = tmp_path / "img.ppm"
-        write_pnm(path, img)
-        back = read_pnm(path)
-        assert back.shape == (4, 6, 3)
-        np.testing.assert_allclose(back, img, atol=1e-12)
-
-    def test_rejects_unknown_magic(self, tmp_path):
-        path = tmp_path / "bad.pnm"
-        path.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
-        with pytest.raises(ValueError, match="magic"):
-            read_pnm(path)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distrel.rebalance import (
+    METHODS,
     cost_sensitive_weights,
     near_miss,
     random_over,
@@ -311,3 +314,51 @@ class TestDispatcherAndInvariants:
         out = rebalance(ls, "none", unit_space(2))
         assert out.n == ls.n
         np.testing.assert_allclose(out.weights, 1.0)
+
+
+@st.composite
+def two_class_sets(draw):
+    """Random labeled sets of 2..40 levels in 1..4 dimensions, both classes present."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = (rng.random(n) < draw(st.floats(0.0, 1.0))).astype(np.int64)
+    first, second = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    labels[first], labels[second] = 0, 1
+    return labeled_from(rng.random((n, d)), labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ls=two_class_sets(), method=st.sampled_from(METHODS), seed=st.integers(0, 2**31 - 1))
+def test_rebalance_properties(ls, method, seed):
+    out = rebalance(ls, method, unit_space(ls.levels.shape[1]), seed=seed)
+    real = ~out.is_synthetic
+    np.testing.assert_array_equal(out.is_synthetic, out.parent_index >= 0)
+
+    # real rows are rows of the input, values and labels intact, in input order
+    pos = 0
+    for level, label in zip(out.levels[real], out.labels[real]):
+        while pos < ls.n and not (
+            np.array_equal(ls.levels[pos], level) and ls.labels[pos] == label
+        ):
+            pos += 1
+        assert pos < ls.n, "a real row is not an input row in input order"
+        pos += 1
+    if method not in ("random-under", "near-miss"):
+        assert real.sum() == ls.n
+
+    neg, pos_count = out.class_counts()
+    if method in ("smote", "random-over", "random-under", "near-miss"):
+        assert neg == pos_count
+    if method == "reweight":
+        mass = [out.weights[out.labels == c].sum() for c in (0, 1)]
+        assert mass[0] == pytest.approx(mass[1], rel=1e-12)
+
+    if method == "smote":
+        minority = ls.levels[ls.labels == _minority_label(ls)]
+        for row in np.flatnonzero(out.is_synthetic):
+            parent = ls.levels[out.parent_index[row]]
+            assert ls.labels[out.parent_index[row]] == out.labels[row]
+            assert np.array_equal(out.levels[row], parent) or _on_some_segment(
+                out.levels[row], parent, minority
+            )

@@ -138,12 +138,10 @@ class TestSuggestNext:
         rng = np.random.default_rng(3)
         suggestion = suggest_next(gp, space, 0.9, 0.5, cfg, rng)
 
-        from distrel.sampling import _acquisition_batch
-
         dense = np.linspace(0, 1, 4001)[:, None]
-        q_dense = _acquisition_batch(gp, dense, 0.9, 0.5, "above")
+        q_dense = acquisition(gp, dense, 0.9, 0.5, "above")
         q_best = q_dense.max()
-        q_sugg = _acquisition_batch(gp, suggestion[None, :], 0.9, 0.5, "above")[0]
+        q_sugg = acquisition(gp, suggestion[None, :], 0.9, 0.5, "above")[0]
         assert q_sugg >= q_best - 1e-6
 
     def test_flat_posterior_stays_in_bounds(self):
