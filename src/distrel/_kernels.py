@@ -2,13 +2,14 @@
 
 The pairwise kernels use the (|a|^2 + |b|^2) - 2ab expansion so the inner
 product runs in BLAS. The image kernels (bilinear affine warp, rain-streak
-rendering) work on one (H, W, C) image at a time. ``single_threaded_blas``
+rendering) work on a whole (n, H, W, C) stack at once: the warp shares one
+set of source coordinates and weights across the stack, and the streak
+renderer loops over the streak index only. ``single_threaded_blas``
 pins BLAS to one thread for the tight refit/predict loops.
 """
 
 import contextlib
 import ctypes
-import math
 import os
 
 import numpy as np
@@ -142,13 +143,15 @@ def pairwise_sq_dists(a, b):
 # Image kernels
 # ---------------------------------------------------------------------------
 
-def affine_bilinear_warp(img, m00, m01, m02, m10, m11, m12, fill):
+def affine_bilinear_warp(stack, m00, m01, m02, m10, m11, m12, fill):
     """Inverse-mapped affine warp with bilinear interpolation.
 
-    ``img`` is (H, W, C) float64. For each destination pixel (r, c) the source
-    position is (sx, sy) = M @ (c, r, 1); out-of-frame corners read ``fill``.
+    ``stack`` is (n, H, W, C) float64; every image gets the same map. For each
+    destination pixel (r, c) the source position is (sx, sy) = M @ (c, r, 1);
+    out-of-frame corners read ``fill``. Coordinates, weights and the clipped
+    corner indices are computed once and shared by the whole stack.
     """
-    h, w, ch = img.shape
+    n, h, w, ch = stack.shape
     rr, cc = np.meshgrid(
         np.arange(h, dtype=np.float64),
         np.arange(w, dtype=np.float64),
@@ -165,7 +168,7 @@ def affine_bilinear_warp(img, m00, m01, m02, m10, m11, m12, fill):
 
     def corner(yi, xi):
         valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-        vals = img[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)]
+        vals = stack[:, np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)]
         return np.where(valid[..., None], vals, fill)
 
     p00 = corner(y0i, x0i)
@@ -179,41 +182,67 @@ def affine_bilinear_warp(img, m00, m01, m02, m10, m11, m12, fill):
     return (1.0 - fy3) * top + fy3 * bot
 
 
-def render_streaks(img, xs, ys, lengths, angles_deg, value, alpha):
-    """Alpha-blend anti-aliased bright line segments into ``img`` in place.
+def render_streaks(stack, xs, ys, lengths, dx, dy, value, alpha):
+    """Alpha-blend anti-aliased bright line segments into a (n, H, W, C) stack.
 
-    Streak i starts at (xs[i], ys[i]) and runs lengths[i] pixels at
-    angles_deg[i] measured from the horizontal axis (y grows downward).
-    Coverage falls linearly from 1 on the segment to 0 at 1 px distance.
+    Returns the blended stack; a C-contiguous ``stack`` is blended in place.
+    The streak parameters are (n, k), row i for image i. Streak j of image i
+    starts at (xs[i, j], ys[i, j]) and runs lengths[i, j] pixels along the
+    unit direction (dx[i, j], dy[i, j]) (y grows downward). Coverage falls
+    linearly from 1 on the segment to 0 at 1 px distance, so it is exactly 0
+    outside the segment's bounding box widened by one pixel.
+
+    The coverage of every streak is computed at once, over one in-frame
+    window per streak that holds that box; all windows share the largest
+    box's size, and where the coverage is 0 the blend returns the pixel
+    unchanged. The blend then loops over the streak index, streak j of every
+    image per step, so overlapping streaks compose in order.
     """
-    h, w, ch = img.shape
-    for i in range(xs.shape[0]):
-        x0 = xs[i]
-        y0 = ys[i]
-        length = lengths[i]
-        ang = angles_deg[i] * math.pi / 180.0
-        dx = math.cos(ang)
-        dy = math.sin(ang)
-        x1 = x0 + length * dx
-        y1 = y0 + length * dy
-        r_lo = max(int(math.floor(min(y0, y1))) - 1, 0)
-        r_hi = min(int(math.ceil(max(y0, y1))) + 1, h - 1)
-        c_lo = max(int(math.floor(min(x0, x1))) - 1, 0)
-        c_hi = min(int(math.ceil(max(x0, x1))) + 1, w - 1)
-        if r_lo > r_hi or c_lo > c_hi:
-            continue
-        rr, cc = np.meshgrid(
-            np.arange(r_lo, r_hi + 1, dtype=np.float64),
-            np.arange(c_lo, c_hi + 1, dtype=np.float64),
-            indexing="ij",
-        )
-        t = (cc - x0) * dx + (rr - y0) * dy
-        t = np.minimum(np.maximum(t, 0.0), length)
-        ex = cc - (x0 + t * dx)
-        ey = rr - (y0 + t * dy)
-        dist = np.sqrt(ex * ex + ey * ey)
-        cov = np.maximum(1.0 - dist, 0.0)
-        a = (alpha * cov)[..., None]
-        patch = img[r_lo : r_hi + 1, c_lo : c_hi + 1]
-        img[r_lo : r_hi + 1, c_lo : c_hi + 1] = patch * (1.0 - a) + value * a
-    return img
+    n, h, w, ch = stack.shape
+    x1 = xs + lengths * dx
+    y1 = ys + lengths * dy
+    rows = _window(np.minimum(ys, y1), np.maximum(ys, y1), h)[..., :, None]
+    cols = _window(np.minimum(xs, x1), np.maximum(xs, x1), w)[..., None, :]
+    x0, y0, length, dx, dy = (v[..., None, None] for v in (xs, ys, lengths, dx, dy))
+    rr = rows.astype(np.float64)
+    cc = cols.astype(np.float64)
+    # a = alpha * max(1 - |p - (p0 + t d)|, 0) with t = clip((p - p0) . d,
+    # 0, length), each operation rounding as in that expression, worked in
+    # place on two (n, k, m, mc) buffers to keep the peak memory down
+    t = (cc - x0) * dx + (rr - y0) * dy
+    np.maximum(t, 0.0, out=t)
+    np.minimum(t, length, out=t)
+    ex = t * dx
+    ex += x0
+    np.subtract(cc, ex, out=ex)
+    ey = np.multiply(t, dy, out=t)
+    ey += y0
+    np.subtract(rr, ey, out=ey)
+    ex *= ex
+    ey *= ey
+    ex += ey
+    cov = np.sqrt(ex, out=ex)
+    np.subtract(1.0, cov, out=cov)
+    np.maximum(cov, 0.0, out=cov)
+    cov *= alpha
+    a = cov[..., None]
+    pixels = np.ascontiguousarray(stack).reshape(-1, ch)
+    index = (np.arange(n)[:, None, None, None] * h + rows) * w + cols
+    for j in range(xs.shape[1]):
+        at = index[:, j]
+        pixels[at] = pixels[at] * (1.0 - a[:, j]) + value * a[:, j]
+    return pixels.reshape(stack.shape)
+
+
+def _window(lo, hi, size):
+    """Pixel indices of one in-frame window per entry, all of one length m.
+
+    Entry e's window lies in [0, size - 1] and holds the span
+    [floor(lo[e]) - 1, ceil(hi[e]) + 1] clipped to it; m is the longest such
+    span. Shape ``lo.shape + (m,)``.
+    """
+    first = np.maximum(np.floor(lo).astype(np.int64) - 1, 0)
+    last = np.minimum(np.ceil(hi).astype(np.int64) + 1, size - 1)
+    m = max(int(np.max(last - first)) + 1, 1)
+    first = np.minimum(first, size - m)
+    return first[..., None] + np.arange(m)

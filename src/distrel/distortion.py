@@ -5,7 +5,16 @@ rotation about the center, translation), then a darkness multiply, then a
 procedural rain overlay. Images are numpy float arrays in [0, 1], either
 (H, W) grayscale or (H, W, 3); positive rotation turns the image content
 counter-clockwise as displayed.
+
+``distort_set`` is the one distortion path: it stacks a set of same-shape
+images into (n, H, W, C) and runs each stage once over the whole stack.
+Image i's rain streaks come from seed ``rain_seed + i``; their parameters
+depend only on that seed, the streak count and the image size, so they are
+drawn once and kept in a bounded cache of read-only arrays.
 """
+
+import functools
+import math
 
 import numpy as np
 from scipy.special import cosdg, sindg
@@ -43,19 +52,25 @@ def identity_level() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
-def _as_3d(img) -> np.ndarray:
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim == 2:
-        img = img[:, :, None]
-    if img.ndim != 3 or img.shape[2] not in (1, 3):
+def _as_stack(images) -> np.ndarray:
+    """Validate same-shape images and return them as one (n, H, W, C) array."""
+    if not isinstance(images, np.ndarray):
+        shapes = sorted({np.shape(im) for im in images})
+        if len(shapes) > 1:
+            raise ValueError(f"images must all have one shape, got shapes {shapes}")
+    stack = np.asarray(images, dtype=np.float64)
+    if stack.ndim == 3:
+        stack = stack[..., None]
+    shape = stack.shape[1:]
+    if stack.ndim != 4 or shape[2] not in (1, 3):
         raise ValueError(
-            f"image must be (H, W), (H, W, 1) or (H, W, 3), got shape {img.shape}"
+            f"image must be (H, W), (H, W, 1) or (H, W, 3), got shape {shape}"
         )
-    if img.shape[0] < 1 or img.shape[1] < 1:
-        raise ValueError(f"image must have positive size, got shape {img.shape}")
-    if img.size and (img.min() < 0.0 or img.max() > 1.0):
+    if shape[0] < 1 or shape[1] < 1:
+        raise ValueError(f"image must have positive size, got shape {shape}")
+    if stack.size and (stack.min() < 0.0 or stack.max() > 1.0):
         raise ValueError("pixel values must lie in [0, 1]")
-    return np.ascontiguousarray(img)
+    return stack
 
 
 def _inverse_affine(width, height, scale, rotation_deg, tx, ty):
@@ -77,35 +92,53 @@ def _inverse_affine(width, height, scale, rotation_deg, tx, ty):
     return m00, m01, b0, m10, m11, b1
 
 
+@functools.lru_cache(maxsize=4096)
+def _rain_draws(seed: int, n_streaks: int, width: int, height: int) -> np.ndarray:
+    """One image's streaks: read-only (5, n_streaks) rows x, y, length, cos, sin."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.0, width, n_streaks)
+    ys = rng.uniform(0.0, height, n_streaks)
+    lengths = rng.uniform(*RAIN_LENGTH, n_streaks)
+    angles = rng.uniform(*RAIN_ANGLE_DEG, n_streaks)
+    # scalar trig per streak: np.cos/np.sin may round differently
+    rad = [a * math.pi / 180.0 for a in angles]
+    draws = np.array(
+        [xs, ys, lengths, [math.cos(r) for r in rad], [math.sin(r) for r in rad]]
+    )
+    draws.flags.writeable = False
+    return draws
+
+
 def apply_distortion(img, level, rain_seed: int = 0) -> np.ndarray:
     """Distort one image; deterministic given (img, level, rain_seed)."""
+    return distort_set([img], level, rain_seed)[0]
+
+
+def distort_set(images, level, rain_seed: int = 0) -> list:
+    """Distort same-shape images at one level in one pass over their stack.
+
+    Image i uses rain seed ``rain_seed + i``. Returns a list with one
+    distorted image per input, each shaped like the inputs. Images of
+    different shapes raise ``ValueError``.
+    """
     level = distortion_space().validate_level(level)
     scale, rotation, tx, ty, darkness, rain = level
-    src = _as_3d(img)
-    height, width = src.shape[:2]
+    if len(images) == 0:
+        return []
+    stack = _as_stack(images)
+    n, height, width = stack.shape[:3]
 
     m00, m01, b0, m10, m11, b1 = _inverse_affine(width, height, scale, rotation, tx, ty)
-    out = _kernels.affine_bilinear_warp(src, m00, m01, b0, m10, m11, b1, 0.0)
+    out = _kernels.affine_bilinear_warp(stack, m00, m01, b0, m10, m11, b1, 0.0)
 
     out = np.clip(out * darkness, 0.0, 1.0)
 
     n_streaks = int(np.rint(rain * RAIN_DENSITY * width * height))
     if n_streaks > 0:
-        rng = np.random.default_rng(rain_seed)
-        xs = rng.uniform(0.0, width, n_streaks)
-        ys = rng.uniform(0.0, height, n_streaks)
-        lengths = rng.uniform(*RAIN_LENGTH, n_streaks)
-        angles = rng.uniform(*RAIN_ANGLE_DEG, n_streaks)
-        out = _kernels.render_streaks(
-            np.ascontiguousarray(out), xs, ys, lengths, angles, RAIN_VALUE, RAIN_ALPHA
+        draws = np.stack(
+            [_rain_draws(rain_seed + i, n_streaks, width, height) for i in range(n)],
+            axis=1,
         )
+        out = _kernels.render_streaks(out, *draws, RAIN_VALUE, RAIN_ALPHA)
 
-    if np.asarray(img).ndim == 2:
-        return out[:, :, 0]
-    return out
-
-
-def distort_set(images, level, rain_seed: int = 0) -> list:
-    """Element-wise distortion; image i uses rain seed ``rain_seed + i``."""
-    return [apply_distortion(im, level, rain_seed + i) for i, im in enumerate(images)]
-
+    return list(out.reshape((n, *np.shape(images[0]))))

@@ -327,11 +327,9 @@ class KnnImageClassifier:
         d = _kernels.pairwise_sq_dists(flat, self.train_x)
         k = min(self.k, self.train_x.shape[0])
         order = np.argsort(d, axis=1, kind="stable")[:, :k]
-        out = np.empty(images.shape[0], dtype=np.int64)
-        for i in range(images.shape[0]):
-            counts = np.bincount(self.train_y[order[i]], minlength=self.n_classes)
-            out[i] = int(np.argmax(counts))
-        return out
+        votes = self.train_y[order]
+        counts = np.sum(votes[:, :, None] == np.arange(self.n_classes), axis=1)
+        return np.argmax(counts, axis=1)
 
 
 def train_reference_classifier(train: VerificationSet, kind: str):
@@ -369,10 +367,7 @@ class ClassifierOracle:
         self.space = distortion_space()
 
     def __call__(self, level) -> float:
-        level = self.space.validate_level(level)
-        distorted = distort_set(
-            list(self.verification.images), level, self.rain_seed
-        )
+        distorted = distort_set(self.verification.images, level, self.rain_seed)
         preds = self.classifier.predict(np.stack(distorted))
         return float(np.mean(preds == self.verification.labels))
 

@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from distrel import distortion
 from distrel.distortion import (
+    DISTORTION_DIMS,
     apply_distortion,
     distort_set,
     distortion_space,
@@ -131,9 +137,22 @@ class TestDistortSet:
             assert np.array_equal(a, b)
 
     def test_per_image_seeds_differ(self):
-        imgs = [np.zeros((16, 16))] * 2
+        imgs = [np.zeros((16, 16))] * 4
         outs = distort_set(imgs, level(rain=1.0), rain_seed=0)
-        assert not np.array_equal(outs[0], outs[1])
+        for a, b in zip(outs, outs[1:]):
+            assert not np.array_equal(a, b)
+
+    def test_mixed_shapes_rejected_with_shapes(self):
+        imgs = [np.zeros((6, 6)), np.zeros((6, 7)), np.zeros((6, 6, 1))]
+        with pytest.raises(ValueError, match=r"\(6, 6\), \(6, 6, 1\), \(6, 7\)"):
+            distort_set(imgs, level())
+
+    def test_rain_draws_are_cached_read_only(self):
+        draws = distortion._rain_draws(3, 5, 16, 16)
+        assert draws is distortion._rain_draws(3, 5, 16, 16)
+        assert draws.shape == (5, 5)
+        with pytest.raises(ValueError, match="read-only"):
+            draws[0, 0] = 1.0
 
     def test_deterministic(self):
         imgs = [checkerboard(10, 10, seed=i) for i in range(3)]
@@ -155,3 +174,124 @@ class TestProperties:
             assert out.shape == img.shape
             assert out.min() >= 0.0 and out.max() <= 1.0
 
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-image path distort_set replaced. Each image is warped,
+# darkened and rained on alone, one streak at a time, with its own generator.
+# ---------------------------------------------------------------------------
+
+def _reference_warp(img, m00, m01, m02, m10, m11, m12, fill):
+    h, w, ch = img.shape
+    rr, cc = np.meshgrid(
+        np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij"
+    )
+    sx = m00 * cc + m01 * rr + m02
+    sy = m10 * cc + m11 * rr + m12
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
+    fx = sx - x0
+    fy = sy - y0
+    x0i = x0.astype(np.int64)
+    y0i = y0.astype(np.int64)
+
+    def corner(yi, xi):
+        valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
+        vals = img[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)]
+        return np.where(valid[..., None], vals, fill)
+
+    p00 = corner(y0i, x0i)
+    p01 = corner(y0i, x0i + 1)
+    p10 = corner(y0i + 1, x0i)
+    p11 = corner(y0i + 1, x0i + 1)
+    fx3 = fx[..., None]
+    fy3 = fy[..., None]
+    top = (1.0 - fx3) * p00 + fx3 * p01
+    bot = (1.0 - fx3) * p10 + fx3 * p11
+    return (1.0 - fy3) * top + fy3 * bot
+
+
+def _reference_streaks(img, xs, ys, lengths, angles_deg, value, alpha):
+    h, w, ch = img.shape
+    for i in range(xs.shape[0]):
+        x0, y0, length = xs[i], ys[i], lengths[i]
+        ang = angles_deg[i] * math.pi / 180.0
+        dx = math.cos(ang)
+        dy = math.sin(ang)
+        x1 = x0 + length * dx
+        y1 = y0 + length * dy
+        r_lo = max(int(math.floor(min(y0, y1))) - 1, 0)
+        r_hi = min(int(math.ceil(max(y0, y1))) + 1, h - 1)
+        c_lo = max(int(math.floor(min(x0, x1))) - 1, 0)
+        c_hi = min(int(math.ceil(max(x0, x1))) + 1, w - 1)
+        if r_lo > r_hi or c_lo > c_hi:
+            continue
+        rr, cc = np.meshgrid(
+            np.arange(r_lo, r_hi + 1, dtype=np.float64),
+            np.arange(c_lo, c_hi + 1, dtype=np.float64),
+            indexing="ij",
+        )
+        t = (cc - x0) * dx + (rr - y0) * dy
+        t = np.minimum(np.maximum(t, 0.0), length)
+        ex = cc - (x0 + t * dx)
+        ey = rr - (y0 + t * dy)
+        dist = np.sqrt(ex * ex + ey * ey)
+        cov = np.maximum(1.0 - dist, 0.0)
+        a = (alpha * cov)[..., None]
+        patch = img[r_lo : r_hi + 1, c_lo : c_hi + 1]
+        img[r_lo : r_hi + 1, c_lo : c_hi + 1] = patch * (1.0 - a) + value * a
+    return img
+
+
+def reference_distortion(img, lv, rain_seed):
+    scale, rotation, tx, ty, darkness, rain = lv
+    src = img if img.ndim == 3 else img[:, :, None]
+    height, width = src.shape[:2]
+    coeffs = distortion._inverse_affine(width, height, scale, rotation, tx, ty)
+    out = _reference_warp(src, *coeffs, 0.0)
+    out = np.clip(out * darkness, 0.0, 1.0)
+    n_streaks = int(np.rint(rain * distortion.RAIN_DENSITY * width * height))
+    if n_streaks > 0:
+        rng = np.random.default_rng(rain_seed)
+        xs = rng.uniform(0.0, width, n_streaks)
+        ys = rng.uniform(0.0, height, n_streaks)
+        lengths = rng.uniform(*distortion.RAIN_LENGTH, n_streaks)
+        angles = rng.uniform(*distortion.RAIN_ANGLE_DEG, n_streaks)
+        out = _reference_streaks(
+            out, xs, ys, lengths, angles, distortion.RAIN_VALUE, distortion.RAIN_ALPHA
+        )
+    return out if img.ndim == 3 else out[:, :, 0]
+
+
+# odd, non-square, grayscale and RGB; 28 x 28 at rain 1 draws 16 streaks
+SHAPES = [(28, 28), (16, 16), (9, 9), (7, 13), (13, 7), (1, 1), (2, 30),
+          (28, 28, 3), (16, 16, 3), (5, 11, 3), (9, 9, 1), (11, 6, 1)]
+
+# each coordinate anywhere in its range, its ends included (rotation 90, rain 0
+# and 1)
+levels = st.tuples(
+    *(
+        st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+        for _, lo, hi in DISTORTION_DIMS
+    )
+).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.sampled_from(SHAPES),
+    n=st.integers(1, 6),
+    pixel_seed=st.integers(0, 2**32 - 1),
+    lv=levels,
+    rain_seed=st.integers(0, 2**31),
+)
+def test_distort_set_bit_identical_to_per_image_reference(
+    shape, n, pixel_seed, lv, rain_seed
+):
+    images = np.random.default_rng(pixel_seed).random((n, *shape))
+    got = distort_set(list(images), lv, rain_seed)
+    assert len(got) == n
+    for i, (img, out) in enumerate(zip(images, got)):
+        want = reference_distortion(img, lv, rain_seed + i)
+        assert out.shape == want.shape
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))

@@ -4,9 +4,11 @@ import struct
 import numpy as np
 import pytest
 
+from distrel import _kernels
 from distrel.distortion import distortion_space, identity_level
 from distrel.oracles import (
     CachingOracle,
+    KnnImageClassifier,
     SyntheticOracleSpec,
     VerificationSet,
     _unit_ball_volume,
@@ -161,6 +163,27 @@ class TestBlobsAndClassifiers:
         clf = train_reference_classifier(vs, "k-nn")
         preds = clf.predict(vs.images[:10])
         np.testing.assert_array_equal(preds, vs.labels[:10])
+
+    def test_knn_vote_matches_explicit_loop_on_ties(self):
+        # eight distinct images, each stored three times under random labels:
+        # neighbours tie on distance, and k = 4 gives 2-2 vote ties
+        rng = np.random.default_rng(12)
+        distinct = rng.random((8, 4, 4))
+        train_x = np.repeat(distinct, 3, axis=0).reshape(24, -1)
+        train_y = rng.integers(0, 3, 24)
+        clf = KnnImageClassifier(train_x, train_y, 3, (4, 4), k=4)
+        queries = np.concatenate([distinct, rng.random((40, 4, 4))])
+        d = _kernels.pairwise_sq_dists(queries.reshape(len(queries), -1), train_x)
+        want, two_two = [], 0
+        for row in d:
+            nearest = sorted(range(24), key=lambda j: (row[j], j))[:4]
+            counts = [0, 0, 0]
+            for j in nearest:
+                counts[train_y[j]] += 1
+            two_two += sorted(counts) == [0, 2, 2]
+            want.append(counts.index(max(counts)))
+        assert two_two > 0
+        np.testing.assert_array_equal(clf.predict(queries), want)
 
     def test_empty_class_rejected(self):
         imgs = np.zeros((4, 8, 8))
