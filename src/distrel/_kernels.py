@@ -5,7 +5,8 @@ product runs in BLAS. The image kernels (bilinear affine warp, rain-streak
 rendering) work on a whole (n, H, W, C) stack at once: the warp shares one
 set of source coordinates and weights across the stack, and the streak
 renderer loops over the streak index only. ``single_threaded_blas``
-pins BLAS to one thread for the tight refit/predict loops.
+pins BLAS to one thread for the tight refit/predict loops and for every
+sampler run.
 """
 
 import contextlib
@@ -79,13 +80,15 @@ def openblas_thread_controls() -> list:
 
 @contextlib.contextmanager
 def _pinned_openblas(controls):
-    previous = [get() for get, _ in controls]
-    for _, set_threads in controls:
+    # A copy already at one thread is left alone: in a forked process any
+    # setter call restarts OpenBLAS's thread pool, whose new threads spin.
+    changed = [(set_threads, get()) for get, set_threads in controls if get() != 1]
+    for set_threads, _ in changed:
         set_threads(1)
     try:
         yield
     finally:
-        for (_, set_threads), count in zip(controls, previous):
+        for set_threads, count in changed:
             set_threads(count)
 
 

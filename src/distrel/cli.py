@@ -5,6 +5,11 @@ command validates the full config before the first oracle evaluation and
 writes a manifest (resolved config + hash + oracle call counts) next to its
 outputs so a run can be reproduced exactly.
 
+``--workers N`` runs up to N (sampler, seed) sampling runs at once in forked
+worker processes, and N cells at once on threads; every output byte is the
+same for any N. An error raised in a worker is reported as it would be
+without workers.
+
 Exit codes: 0 success, 1 validation error, 2 partial cell failure, 3 runtime
 failure.
 """
@@ -12,7 +17,6 @@ failure.
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -380,21 +384,22 @@ def _experiment_kwargs(cfg: dict) -> dict:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_sample(cfg: dict) -> int:
+def cmd_sample(cfg: dict, workers: int) -> int:
     out = _out_dir(cfg)
     space = build_space(cfg)
     oracle = build_oracle(cfg)
-    base = _sampler_config(cfg)
-    calls = {}
+    sets, calls = ev._sample_sets(
+        oracle, space, cfg["h"], cfg["samplers"], cfg["seeds"], _sampler_config(cfg), workers
+    )
     for sampler in cfg["samplers"]:
         for seed in cfg["seeds"]:
-            labeled, calls[f"{sampler}/{seed}"] = ev.run_sampler(
-                sampler, oracle, space, cfg["h"], replace(base, seed=seed)
-            )
+            labeled = sets[(sampler, seed)]
             name = f"samples_{sampler}_seed{seed}.csv"
             save_labeled_set(out / name, labeled, space)
             print(f"wrote {out / name} ({labeled.n} rows, {labeled.positive_count} positive)")
-    write_manifest(out, cfg, "sample", {"oracle_calls": calls})
+    write_manifest(out, cfg, "sample", {
+        "oracle_calls": {f"{s}/{seed}": v for (s, seed), v in calls.items()},
+    })
     return 0
 
 
@@ -603,8 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replace the config seed list with this single seed")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker threads for the cells of pipeline and the sweeps "
-                            "(default 1); sample runs serially")
+                       help="runs at once (default 1): forked worker processes for the "
+                            "(sampler, seed) runs of sample, pipeline and the sweeps, "
+                            "threads for their cells; results do not depend on it")
 
     common(sub.add_parser("sample", help="run the samplers, write training sets"))
     p = sub.add_parser("rebalance", help="rebalance a sampled training set")
@@ -646,7 +652,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "sample":
-            return cmd_sample(cfg)
+            return cmd_sample(cfg, args.workers)
         if args.command == "rebalance":
             return cmd_rebalance(cfg, args.data, args.method)
         if args.command == "train":

@@ -5,12 +5,18 @@ seeds, scores every cell on one shared grid test set, and aggregates by
 arithmetic mean. Budget and threshold sweeps rerun the matrix along one axis;
 the threshold sweep relabels cached accuracies instead of re-querying the
 oracle.
+
+``workers`` sets how many run at once: the (sampler, seed) sampling runs in
+forked worker processes, because a GP run holds the interpreter lock, and the
+cells on threads. Every run and cell is seeded, so results do not depend on
+it.
 """
 
 import csv
 import hashlib
 import inspect
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -19,6 +25,7 @@ import numpy as np
 from distrel import models as models_mod
 from distrel import oracles as oracles_mod
 from distrel import rebalance as rebalance_mod
+from distrel._kernels import single_threaded_blas
 from distrel.sampling import LabeledSet, SamplerConfig, run_gp_sampling, run_random_sampling
 from distrel.space import SearchSpace
 
@@ -248,16 +255,60 @@ def run_sampler(sampler, oracle, space, h, cfg: SamplerConfig):
     return labeled, wrapped.inner_calls
 
 
-def _sample_sets(oracle, space, h, samplers, seeds, cfg: SamplerConfig):
-    """run_sampler for every (sampler, seed); returns (sets, oracle calls) by key."""
-    train_sets = {}
-    oracle_calls = {}
-    for seed in seeds:
-        for sampler in samplers:
-            labeled, calls = run_sampler(sampler, oracle, space, h, replace(cfg, seed=seed))
-            train_sets[(sampler, seed)] = labeled
-            oracle_calls[(sampler, seed)] = calls
+def _sample_sets(oracle, space, h, samplers, seeds, cfg: SamplerConfig, workers=1):
+    """run_sampler for every (sampler, seed); returns (sets, oracle calls) by key.
+
+    With ``workers`` > 1 and more than one run, the runs go to
+    ``min(workers, runs)`` worker processes started with ``fork``, so they
+    inherit ``oracle`` and never pickle it; only each run's labeled set and
+    call count come back, in job order, and the first failed run's error is
+    raised here. What a run changes in the oracle's state, such as a caching
+    wrapper's counts, stays in its worker. Without ``fork`` the runs stay in
+    this process, one after another.
+    """
+    keys = [(sampler, seed) for seed in seeds for sampler in samplers]
+    jobs = [(sampler, replace(cfg, seed=seed)) for sampler, seed in keys]
+    processes = min(workers, len(jobs))
+    # Every run keeps BLAS on one thread, on top of the GP loop's own pin: so
+    # a run computes the same with or without workers, worker processes do
+    # not crowd each other's cores, and forked workers inherit the pin
+    # instead of restarting OpenBLAS's thread pool, whose new threads spin.
+    with single_threaded_blas():
+        if processes > 1 and hasattr(os, "fork"):
+            # imported here: the pool's modules add milliseconds to every start-up
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # fork copies the initializer's arguments into each worker instead
+            # of pickling them. The runs start before the cell threads and after
+            # the last cell pool has been joined: fork is unsafe while threads run.
+            pool = ProcessPoolExecutor(
+                processes, mp_context=multiprocessing.get_context("fork"),
+                initializer=_set_worker_jobs, initargs=((oracle, space, h, jobs),),
+            )
+            try:
+                results = list(pool.map(_run_job, range(len(jobs))))
+            finally:
+                pool.shutdown(cancel_futures=True)
+        else:
+            results = [run_sampler(sampler, oracle, space, h, c) for sampler, c in jobs]
+    train_sets = {key: labeled for key, (labeled, _) in zip(keys, results)}
+    oracle_calls = {key: calls for key, (_, calls) in zip(keys, results)}
     return train_sets, oracle_calls
+
+
+_worker_jobs = None  # (oracle, space, h, jobs), set in each forked worker
+
+
+def _set_worker_jobs(jobs):
+    global _worker_jobs
+    _worker_jobs = jobs
+
+
+def _run_job(index):
+    oracle, space, h, jobs = _worker_jobs
+    sampler, cfg = jobs[index]
+    return run_sampler(sampler, oracle, space, h, cfg)
 
 
 def _evaluate_cells(train_sets, grid, space, methods, kinds, workers=1):
@@ -338,7 +389,7 @@ def run_experiment(
     elif grid.threshold != h:
         grid = grid.relabeled(h)
 
-    train_sets, oracle_calls = _sample_sets(oracle, space, h, samplers, seeds, cfg)
+    train_sets, oracle_calls = _sample_sets(oracle, space, h, samplers, seeds, cfg, workers)
     cells = _evaluate_cells(train_sets, grid, space, methods, kinds, workers)
     return ExperimentReport(
         cells=cells,
@@ -414,8 +465,11 @@ def sweep_threshold(oracle, space, h_values, *, budget, config: dict = None, **k
     if grid is None:
         grid = build_grid_test_set(space, kw["points_per_dim"], audited, h_ref)
     train_sets, oracle_calls = _sample_sets(
-        audited, space, h_ref, kw["samplers"], kw["seeds"], cfg
+        audited, space, h_ref, kw["samplers"], kw["seeds"], cfg, kw["workers"]
     )
+    # runs in worker processes queried their own copies of ``audited``
+    for labeled in train_sets.values():
+        audited.record(labeled.levels, labeled.accuracies)
     calls_after_sampling = audited.inner_calls
 
     rows = []

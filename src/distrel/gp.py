@@ -134,25 +134,36 @@ def fit(points, values, cfg: KernelConfig) -> GpPosterior:
 
 
 def _check_duplicates(x: np.ndarray) -> None:
-    n = x.shape[0]
+    """Raise on the first pair of rows that match to within ``DUPLICATE_TOL``.
+
+    "First" is the order of a scan over the rows sorted on their first
+    coordinate: the lowest later row of a pair, then its nearest earlier
+    match.
+    """
+    n, d = x.shape
     if n < 2:
         return
-    # Sort on the first coordinate; points matching to within the tolerance
-    # must then sit in the same narrow window, so the scan stays near-linear
-    # (the pair loop only runs for rows nearly tied in the first coordinate).
+    # Sorted on the first coordinate, matching rows sit in one run of rows
+    # whose neighbours are tied on it to within the tolerance. Each run is
+    # compared all against all, one coordinate per step.
     order = np.argsort(x[:, 0], kind="stable")
     xs = x[order]
-    suspects = np.flatnonzero(np.diff(xs[:, 0]) <= DUPLICATE_TOL) + 1
-    for i in suspects:
-        j = i - 1
-        while j >= 0 and xs[i, 0] - xs[j, 0] <= DUPLICATE_TOL:
-            if np.max(np.abs(xs[i] - xs[j])) <= DUPLICATE_TOL:
-                a, b = sorted((int(order[j]), int(order[i])))
-                raise ValueError(
-                    f"duplicate training points at indices {a} and {b}: "
-                    f"{x[a]} vs {x[b]}"
-                )
-            j -= 1
+    tied = (np.diff(xs[:, 0]) <= DUPLICATE_TOL).astype(np.int8)
+    edges = np.diff(np.concatenate(([0], tied, [0])))
+    for start, stop in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) + 1):
+        run = xs[start:stop]
+        close = np.tri(len(run), k=-1, dtype=bool)  # close[i, j] needs j < i
+        for k in range(d):
+            close &= np.abs(run[:, None, k] - run[None, :, k]) <= DUPLICATE_TOL
+        rows = np.flatnonzero(close.any(axis=1))
+        if rows.size:
+            i = start + rows[0]
+            j = start + np.flatnonzero(close[rows[0]])[-1]
+            a, b = sorted((int(order[j]), int(order[i])))
+            raise ValueError(
+                f"duplicate training points at indices {a} and {b}: "
+                f"{x[a]} vs {x[b]}"
+            )
 
 
 def _predict_raw(gp: GpPosterior, z: np.ndarray) -> tuple:

@@ -391,8 +391,12 @@ class CachingOracle:
         self.inner_calls = 0
         self.queries = 0
 
+    @staticmethod
+    def _key(level) -> tuple:
+        return tuple(float(v) for v in np.asarray(level, dtype=np.float64))
+
     def __call__(self, level) -> float:
-        key = tuple(float(v) for v in np.asarray(level, dtype=np.float64))
+        key = self._key(level)
         with self._lock:
             self.queries += 1
             if key in self._cache:
@@ -402,6 +406,20 @@ class CachingOracle:
             self._cache[key] = value
             self.inner_calls += 1
         return value
+
+    def record(self, levels, values) -> None:
+        """Cache values computed elsewhere, such as in a forked worker.
+
+        Each level not cached yet counts as one query and one inner call, as
+        if it had been queried here; cached levels are left as they are.
+        """
+        with self._lock:
+            for level, value in zip(levels, values):
+                key = self._key(level)
+                if key not in self._cache:
+                    self._cache[key] = float(value)
+                    self.queries += 1
+                    self.inner_calls += 1
 
     @property
     def cache_size(self) -> int:

@@ -36,6 +36,10 @@ class OracleError(RuntimeError):
         super().__init__(message)
         self.level = None if level is None else np.asarray(level, dtype=np.float64)
 
+    def __reduce__(self):
+        # keeps .level when a sampler run in a worker process sends it back
+        return type(self), (str(self), self.level)
+
 
 @dataclass(frozen=True)
 class LabeledSet:

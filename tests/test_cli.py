@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distrel import cli
 from distrel.cli import ConfigError, build_oracle, build_space, main, resolve_config
 
 # box covering 0.84 of each axis: ~35% positive volume, so small budgets
@@ -311,6 +313,52 @@ class TestSweepCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["audit"]["extra_calls_during_sweep"] == 0
         assert (out / "threshold_sweep.csv").exists()
+
+
+def output_digests(out):
+    return {
+        str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    }
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("command", ["sample", "pipeline", "sweep-threshold"])
+    def test_outputs_identical_across_workers(self, tmp_path, command):
+        path = write_config(tmp_path, seeds=[0, 1], thresholds=[0.7, 0.9])
+        digests = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main([command, "--config", str(path), "--out", str(out),
+                         "--workers", workers]) == 0
+            digests.append(output_digests(out))
+        assert digests[0] and digests[1] == digests[0]
+
+    def test_worker_error_reported_like_serial(self, tmp_path, capsys, monkeypatch):
+        real_build = cli.build_oracle
+
+        def build_flaky(cfg):
+            oracle = real_build(cfg)
+
+            def flaky(level):
+                if level[1] > 60.0:
+                    raise RuntimeError("sensor offline")
+                return oracle(level)
+
+            return flaky
+
+        monkeypatch.setattr(cli, "build_oracle", build_flaky)
+        path = write_config(tmp_path, seeds=[0, 1])
+        errors = []
+        for workers in ("1", "2"):
+            rc = main(["sample", "--config", str(path), "--out", str(tmp_path / workers),
+                       "--workers", workers])
+            assert rc == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("error: oracle failed at level")
+        assert "sensor offline" in errors[0]
+        assert errors[1] == errors[0]
 
 
 class TestReportCommand:

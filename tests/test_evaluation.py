@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from distrel._kernels import openblas_thread_controls
 from distrel.distortion import distortion_space
 from distrel.evaluation import (
     ExperimentReport,
     Metrics,
+    _sample_sets,
     build_grid_test_set,
     f1_score,
     run_experiment,
@@ -16,6 +18,7 @@ from distrel.evaluation import (
 )
 from distrel.oracles import SyntheticOracleSpec, caching_oracle, make_synthetic_oracle
 from distrel.presets import benchmark_oracle_spec, box_oracle_spec
+from distrel.sampling import OracleError, SamplerConfig
 from distrel.space import SearchSpace
 
 
@@ -183,6 +186,62 @@ class TestRunExperiment:
         for ca, cb in zip(a.sorted_cells(), b.sorted_cells()):
             assert ca.key() == cb.key()
             assert ca.metrics.f1 == cb.metrics.f1
+        assert a.positive_counts == b.positive_counts
+        assert a.oracle_calls == b.oracle_calls
+        # the training sets themselves, bit for bit
+        cfg = SamplerConfig(budget=kw["budget"], init_count=kw["init_count"],
+                            acquisition_candidates=kw["acquisition_candidates"],
+                            refine_steps=kw["refine_steps"])
+        sa, calls_a = _sample_sets(oracle, plane_space(), 0.85, kw["samplers"], kw["seeds"], cfg, 1)
+        sb, calls_b = _sample_sets(oracle, plane_space(), 0.85, kw["samplers"], kw["seeds"], cfg, 3)
+        assert list(sa) == list(sb) and calls_a == calls_b
+        for key in sa:
+            for name in ("levels", "accuracies", "labels"):
+                assert getattr(sa[key], name).tobytes() == getattr(sb[key], name).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_run_keeps_blas_on_one_thread(self, workers):
+        controls = openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread-control symbol loaded in this process")
+        bump = fat_oracle()
+
+        def oracle(level):
+            # the answer carries the thread counts back from worker processes
+            return bump(level) if all(get() == 1 for get, _ in controls) else 0.0
+
+        cfg = SamplerConfig(budget=20, init_count=8, acquisition_candidates=64, refine_steps=4)
+        sets, _ = _sample_sets(oracle, plane_space(), 0.85, ("random", "gp"), (0, 1), cfg, workers)
+        for labeled in sets.values():
+            assert np.array_equal(labeled.accuracies, bump.evaluate_many(labeled.levels))
+
+    def test_unpicklable_oracle_runs_on_workers(self):
+        # a lambda cannot be pickled: the worker processes must inherit it
+        bump = fat_oracle()
+        kw = fast_kwargs(seeds=(0, 1))
+        a = run_experiment(bump, plane_space(), 0.85, workers=1, **kw)
+        b = run_experiment(lambda level: bump(level), plane_space(), 0.85, workers=2, **kw)
+        assert a.to_json_dict() == b.to_json_dict()
+
+    def test_oracle_error_in_worker_surfaces_unchanged(self):
+        bump = fat_oracle()
+
+        def flaky(level):
+            if level[0] > 0.9:
+                raise RuntimeError("sensor offline")
+            return bump(level)
+
+        grid = build_grid_test_set(plane_space(), 5, bump, 0.85)
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(OracleError) as err:
+                run_experiment(flaky, plane_space(), 0.85, workers=workers, grid=grid,
+                               **fast_kwargs(seeds=(0, 1)))
+            errors.append(err.value)
+        assert type(errors[1]) is OracleError
+        assert str(errors[1]) == str(errors[0])
+        assert "sensor offline" in str(errors[0])
+        assert np.array_equal(errors[1].level, errors[0].level)
 
 
 class TestReportOutputs:
@@ -269,6 +328,19 @@ class TestSweeps:
         assert audit["extra_calls_during_sweep"] == 0
         # the audited oracle saw exactly budget + grid distinct levels
         assert audit["oracle_calls_after_sweep"] == 50 + 5**2
+
+    def test_threshold_sweep_same_with_workers(self):
+        out = []
+        for workers in (1, 2):
+            rows, audit = sweep_threshold(
+                fat_oracle(), plane_space(), [0.85, 0.7],
+                budget=50, init_count=12, samplers=("random", "gp"), methods=("none",),
+                kinds=("knn",), seeds=(0, 1), points_per_dim=5,
+                acquisition_candidates=128, refine_steps=6, workers=workers,
+            )
+            out.append(([r.to_json_dict() for _, r in rows], audit))
+        assert out[1] == out[0]
+        assert out[0][1]["extra_calls_during_sweep"] == 0
 
     def test_threshold_relabeling_monotone(self):
         base = fat_oracle()

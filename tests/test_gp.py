@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from distrel import gp as gpmod
 from distrel.gp import (
+    DUPLICATE_TOL,
     GpPosterior,
     KernelConfig,
     fit,
@@ -112,6 +118,24 @@ class TestFit:
         with pytest.raises(ValueError, match="indices 0 and 2"):
             fit(x, [0.1, 0.2, 0.3], cfg)
 
+    def test_nearest_earlier_match_is_reported(self):
+        # rows 0 and 1 differ by more than the tolerance; row 2 matches both
+        x = np.array([[0.0, -6e-13], [0.0, 6e-13], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="indices 1 and 2"):
+            fit(x, [0.1, 0.2, 0.3], KernelConfig(np.ones(2), 1.0))
+
+    def test_many_rows_on_one_face_report_first_pair(self):
+        # the sampler's "below" direction stacks picks on a box face: many
+        # rows share an exact first coordinate
+        rng = np.random.default_rng(3)
+        x = rng.random((300, 6))
+        x[40:, 0] = 0.0
+        x[200] = x[160] + 5e-13
+        x[250] = x[45]
+        with pytest.raises(ValueError) as err:
+            fit(x, np.full(300, 0.5), KernelConfig(np.ones(6), 1.0))
+        assert str(err.value) == reference_duplicate_error(x)
+
     def test_rejects_out_of_range_targets(self):
         cfg = KernelConfig(np.ones(2), 1.0)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -220,3 +244,58 @@ class TestKernelConfigValidation:
     def test_rejects_negative_jitter(self):
         with pytest.raises(ValueError, match="jitter"):
             KernelConfig(np.ones(2), 1.0, jitter=-1e-3)
+
+
+def reference_duplicate_error(x):
+    """The message of the pair loop ``gp._check_duplicates`` replaced, or None.
+
+    Kept as the reference: the vectorized check must report the same first
+    pair with the same message.
+    """
+    order = np.argsort(x[:, 0], kind="stable")
+    xs = x[order]
+    suspects = np.flatnonzero(np.diff(xs[:, 0]) <= DUPLICATE_TOL) + 1
+    for i in suspects:
+        j = i - 1
+        while j >= 0 and xs[i, 0] - xs[j, 0] <= DUPLICATE_TOL:
+            if np.max(np.abs(xs[i] - xs[j])) <= DUPLICATE_TOL:
+                a, b = sorted((int(order[j]), int(order[i])))
+                return (
+                    f"duplicate training points at indices {a} and {b}: "
+                    f"{x[a]} vs {x[b]}"
+                )
+            j -= 1
+    return None
+
+
+# coordinates drawn near a few shared values, so exact ties, ties within the
+# tolerance and near misses just outside it are all common; -6e-13 and 6e-13
+# both match 0 but not each other, so a row can match two earlier rows that
+# do not match each other
+NEAR_TIES = st.builds(
+    lambda base, offset: base + offset,
+    st.sampled_from([0.0, 0.25, 1.0]),
+    st.sampled_from([0.0, 0.0, 0.0, 4e-13, -6e-13, 6e-13, 1e-12, -1e-12, 2.5e-12, 1e-9]),
+)
+COORDS = st.one_of(
+    NEAR_TIES, NEAR_TIES, st.floats(0.0, 1.0), st.sampled_from([math.nan, math.inf, -math.inf])
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.lists(COORDS, min_size=d, max_size=d), min_size=1, max_size=90)
+    )
+)
+def test_check_duplicates_matches_pair_loop(rows):
+    x = np.array(rows, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        expected = reference_duplicate_error(x)
+        try:
+            gpmod._check_duplicates(x)
+        except ValueError as exc:
+            got = str(exc)
+        else:
+            got = None
+    assert got == expected

@@ -35,6 +35,25 @@ def test_single_threaded_blas_pins_every_openblas_and_restores():
             set_threads(count)
 
 
+def test_pin_leaves_copies_at_one_thread_alone(monkeypatch):
+    # in a forked worker any setter call restarts OpenBLAS's thread pool
+    counts = [1, 2]
+    calls = []
+
+    def control(i):
+        def set_threads(n):
+            calls.append((i, n))
+            counts[i] = n
+        return (lambda: counts[i]), set_threads
+
+    monkeypatch.setattr(_kernels, "_threadpool_limits", None)
+    monkeypatch.setattr(_kernels, "openblas_thread_controls", lambda: [control(0), control(1)])
+    with _kernels.single_threaded_blas():
+        assert counts == [1, 1]
+    assert counts == [1, 2]
+    assert calls == [(1, 1), (1, 2)]
+
+
 def test_rbf_cross_matches_plain_expression():
     # the in-place evaluation must round exactly like the textbook expression
     rng = np.random.default_rng(6)

@@ -284,6 +284,17 @@ class TestCachingOracle:
         lv = np.array([0.5])
         assert wrapped(lv) == wrapped(lv)
 
+    def test_record_counts_new_levels_only(self):
+        calls = []
+        wrapped = caching_oracle(lambda c: calls.append(c) or 0.5)
+        wrapped(np.array([0.1, 0.2]))
+        wrapped.record(np.array([[0.1, 0.2], [0.3, 0.4], [0.3, 0.4]]), [0.9, 0.7, 0.7])
+        assert (wrapped.inner_calls, wrapped.queries, wrapped.cache_size) == (2, 2, 2)
+        # a recorded level is served from the cache; a cached one keeps its value
+        assert wrapped(np.array([0.3, 0.4])) == 0.7
+        assert wrapped(np.array([0.1, 0.2])) == 0.5
+        assert len(calls) == 1
+
 
 class TestIdx:
     def _write_idx(self, tmp_path, images, labels, compress=False):
