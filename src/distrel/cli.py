@@ -5,10 +5,10 @@ command validates the full config before the first oracle evaluation and
 writes a manifest (resolved config + hash + oracle call counts) next to its
 outputs so a run can be reproduced exactly.
 
-``--workers N`` runs up to N (sampler, seed) sampling runs at once in forked
-worker processes, and N cells at once on threads; every output byte is the
-same for any N. An error raised in a worker is reported as it would be
-without workers.
+``--workers N`` (N >= 1; on ``sample``, ``pipeline`` and the sweeps) runs up
+to N (sampler, seed) sampling runs at once in forked worker processes, and
+N cells at once on threads; every output byte is the same for any N. An
+error raised in a worker is reported as it would be without workers.
 
 Exit codes: 0 success, 1 validation error, 2 partial cell failure, 3 runtime
 failure.
@@ -607,12 +607,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="replace the config seed list with this single seed")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--workers", type=int, default=1,
-                       help="runs at once (default 1): forked worker processes for the "
-                            "(sampler, seed) runs of sample, pipeline and the sweeps, "
-                            "threads for their cells; results do not depend on it")
 
-    common(sub.add_parser("sample", help="run the samplers, write training sets"))
+    def with_workers(p):
+        common(p)
+        p.add_argument("--workers", type=int, default=1,
+                       help="runs at once, at least 1 (default 1): forked worker "
+                            "processes for the (sampler, seed) runs, threads for the "
+                            "cells; results do not depend on it")
+
+    with_workers(sub.add_parser("sample", help="run the samplers, write training sets"))
     p = sub.add_parser("rebalance", help="rebalance a sampled training set")
     common(p)
     p.add_argument("--data", required=True, help="training-set CSV")
@@ -624,9 +627,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--models", nargs="+", required=True, help="model JSON files")
     p.add_argument("--test-set", default=None, help="optional test-set CSV")
-    common(sub.add_parser("pipeline", help="full sample/rebalance/train/evaluate matrix"))
-    common(sub.add_parser("sweep-budget", help="pipeline across budget values"))
-    common(sub.add_parser("sweep-threshold", help="relabel and re-evaluate across thresholds"))
+    with_workers(sub.add_parser("pipeline", help="full sample/rebalance/train/evaluate matrix"))
+    with_workers(sub.add_parser("sweep-budget", help="pipeline across budget values"))
+    with_workers(sub.add_parser("sweep-threshold",
+                                help="relabel and re-evaluate across thresholds"))
     p = sub.add_parser("report", help="summarize a report.json")
     p.add_argument("path", help="report.json or a run directory")
     return parser
@@ -645,6 +649,8 @@ def main(argv=None) -> int:
     if args.seed is not None:
         overrides["seeds"] = [args.seed]
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         cfg = resolve_config(load_config(args.config), overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,6 +15,15 @@ snapshots the normalization bounds it was fitted with and serializes them
 with its hyperparameters and fitted parameters. Tie conventions are fixed:
 logistic probability 0.5 maps to label 1, k-NN vote ties map to label 0,
 tree leaf ties map to label 0.
+
+Cost. k-NN ``predict`` takes the k nearest training points of each level as
+a stable argsort of its distance row would, distance ties going to the
+lower training index, but selects them without sorting: O(m) per level for
+m training points, in blocks of rows. The tree scores every split candidate
+of a feature in one numpy pass per node and feature, then replays the
+sequential first-wins rule (a gain must beat the best so far by 1e-15) over
+the candidates that set a new running maximum, so it picks the same splits
+as a candidate-by-candidate loop.
 """
 
 import json
@@ -176,13 +185,20 @@ class KnnModel(_Model):
         return {"points": z, "labels": data.labels}
 
     def predict(self, levels) -> np.ndarray:
+        """Majority vote of the k nearest training points of each level.
+
+        One ``pairwise_sq_dists`` call gives every squared distance; the k
+        nearest of each row are then selected by ``_kernels.nearest_k``, the
+        same set as a stable argsort of the row (distance ties go to the
+        lower training index) at O(m) rather than O(m log m) per row of m
+        training points.
+        """
         z = self._normalize(levels)
         k = min(int(self.hyper["k"]), self.points.shape[0])
         d = _kernels.pairwise_sq_dists(
             np.ascontiguousarray(z), np.ascontiguousarray(self.points)
         )
-        order = np.argsort(d, axis=1, kind="stable")[:, :k]
-        votes = self.labels[order].sum(axis=1)
+        votes = self.labels[_kernels.nearest_k(d, k)].sum(axis=1)
         # strict majority of ones; ties (even k with votes == k/2) go to 0
         return (2 * votes > k).astype(np.int64)
 
@@ -240,13 +256,15 @@ def _leaf(labels, weights) -> dict:
     return {"label": 1 if w1 > w0 else 0}
 
 
-def _gini(w0, w1) -> float:
+def _gini(w0, w1):
+    """Gini impurity of weighted class totals, elementwise; 0 where the
+    total is not positive."""
     total = w0 + w1
-    if total <= 0.0:
-        return 0.0
-    p0 = w0 / total
-    p1 = w1 / total
-    return 1.0 - p0 * p0 - p1 * p1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p0 = w0 / total
+        p1 = w1 / total
+        impurity = 1.0 - p0 * p0 - p1 * p1
+    return np.where(total <= 0.0, 0.0, impurity)
 
 
 def _build_node(z, labels, weights, depth, max_depth, min_leaf) -> dict:
@@ -256,7 +274,7 @@ def _build_node(z, labels, weights, depth, max_depth, min_leaf) -> dict:
 
     total_w0 = float(weights[labels == 0].sum())
     total_w1 = float(weights[labels == 1].sum())
-    parent = _gini(total_w0, total_w1)
+    parent = float(_gini(total_w0, total_w1))
     best_gain = 0.0
     best = None
     for j in range(z.shape[1]):
@@ -267,21 +285,23 @@ def _build_node(z, labels, weights, depth, max_depth, min_leaf) -> dict:
         cum_w1 = np.cumsum(w * (lab == 1))
         cum_w = np.cumsum(w)
         # candidate split after position i: left = rows [0..i]
-        for i in range(min_leaf - 1, n - min_leaf):
-            if vals[i] == vals[i + 1]:
-                continue
-            lw = cum_w[i]
-            lw1 = cum_w1[i]
-            rw = cum_w[-1] - lw
-            rw1 = cum_w1[-1] - lw1
-            frac_l = lw / cum_w[-1]
-            child = frac_l * _gini(lw - lw1, lw1) + (1 - frac_l) * _gini(
-                rw - rw1, rw1
-            )
-            gain = parent - child
-            if gain > best_gain + 1e-15:
-                best_gain = gain
-                best = (j, 0.5 * (vals[i] + vals[i + 1]))
+        i = np.arange(min_leaf - 1, n - min_leaf)
+        i = i[vals[i] != vals[i + 1]]
+        lw = cum_w[i]
+        lw1 = cum_w1[i]
+        rw = cum_w[-1] - lw
+        rw1 = cum_w1[-1] - lw1
+        frac_l = lw / cum_w[-1]
+        child = frac_l * _gini(lw - lw1, lw1) + (1 - frac_l) * _gini(rw - rw1, rw1)
+        gain = parent - child
+        # in order, a candidate wins if it beats the best so far by 1e-15; one
+        # that does not exceed every earlier gain cannot, so only the rest
+        # are replayed
+        earlier = np.fmax.accumulate(np.concatenate(([best_gain], gain)))[:-1]
+        for t in np.flatnonzero(gain > earlier):
+            if gain[t] > best_gain + 1e-15:
+                best_gain = gain[t]
+                best = (j, 0.5 * (vals[i[t]] + vals[i[t] + 1]))
     if best is None:
         return _leaf(labels, weights)
 

@@ -305,8 +305,8 @@ class NearestCentroidClassifier:
 class KnnImageClassifier:
     """k-nearest-neighbor vote over stored training images.
 
-    Neighbor order breaks distance ties by training index; class-count ties go
-    to the lowest class index.
+    The k nearest come from ``_kernels.nearest_k``, so distance ties go to the
+    lower training index; class-count ties go to the lowest class index.
     """
 
     def __init__(self, train_x, train_y, n_classes, image_shape, k=5):
@@ -326,8 +326,7 @@ class KnnImageClassifier:
         flat = np.ascontiguousarray(images.reshape(images.shape[0], -1))
         d = _kernels.pairwise_sq_dists(flat, self.train_x)
         k = min(self.k, self.train_x.shape[0])
-        order = np.argsort(d, axis=1, kind="stable")[:, :k]
-        votes = self.train_y[order]
+        votes = self.train_y[_kernels.nearest_k(d, k)]
         counts = np.sum(votes[:, :, None] == np.arange(self.n_classes), axis=1)
         return np.argmax(counts, axis=1)
 

@@ -1,3 +1,13 @@
+import os
+
+from hypothesis import settings
+
+# CI runs replay the same examples each time and print the blob that
+# reproduces a failure; local runs keep exploring at random.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
+
 _acceptance_outcomes = {}
 
 

@@ -360,6 +360,34 @@ class TestWorkers:
         assert "sensor offline" in errors[0]
         assert errors[1] == errors[0]
 
+    @pytest.mark.parametrize("command", ["sample", "pipeline", "sweep-budget", "sweep-threshold"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                               command, workers):
+        def no_oracle(cfg):
+            raise AssertionError("oracle built")
+
+        monkeypatch.setattr(cli, "build_oracle", no_oracle)
+        path = write_config(tmp_path, budgets=[20, 40], thresholds=[0.7, 0.9])
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out),
+                     "--workers", workers]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: --workers must be at least 1, got {workers}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["rebalance", "train", "evaluate"])
+    def test_single_run_commands_do_not_take_workers(self, tmp_path, capsys, command):
+        path = write_config(tmp_path)
+        extra = {"rebalance": ["--data", "d.csv", "--method", "none"],
+                 "train": ["--data", "d.csv"],
+                 "evaluate": ["--models", "m.json"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), *extra, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
 
 class TestReportCommand:
     def test_summarizes_run_directory(self, tmp_path, capsys):

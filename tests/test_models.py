@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distrel.models import (
+    TreeModel,
     load_model,
     logistic_loss_and_grad,
     model_from_dict,
@@ -157,6 +160,118 @@ class TestTree:
         model = train("tree", data, unit_space(1), hyper={"min_leaf": 5})
         # no split possible (min_leaf=5); the leaf must follow the weighted majority
         assert predict_label(model, [0.5]) == 1
+
+
+def reference_gini(w0, w1) -> float:
+    total = w0 + w1
+    if total <= 0.0:
+        return 0.0
+    p0 = w0 / total
+    p1 = w1 / total
+    return 1.0 - p0 * p0 - p1 * p1
+
+
+def reference_leaf(labels, weights) -> dict:
+    w1 = float(weights[labels == 1].sum())
+    w0 = float(weights[labels == 0].sum())
+    return {"label": 1 if w1 > w0 else 0}
+
+
+def reference_build_node(z, labels, weights, depth, max_depth, min_leaf) -> dict:
+    """The split search as a loop over candidates, one at a time."""
+    n = z.shape[0]
+    if depth >= max_depth or n < 2 * min_leaf or len(np.unique(labels)) == 1:
+        return reference_leaf(labels, weights)
+
+    total_w0 = float(weights[labels == 0].sum())
+    total_w1 = float(weights[labels == 1].sum())
+    parent = reference_gini(total_w0, total_w1)
+    best_gain = 0.0
+    best = None
+    for j in range(z.shape[1]):
+        order = np.argsort(z[:, j], kind="stable")
+        vals = z[order, j]
+        w = weights[order]
+        lab = labels[order]
+        cum_w1 = np.cumsum(w * (lab == 1))
+        cum_w = np.cumsum(w)
+        for i in range(min_leaf - 1, n - min_leaf):
+            if vals[i] == vals[i + 1]:
+                continue
+            lw = cum_w[i]
+            lw1 = cum_w1[i]
+            rw = cum_w[-1] - lw
+            rw1 = cum_w1[-1] - lw1
+            frac_l = lw / cum_w[-1]
+            child = frac_l * reference_gini(lw - lw1, lw1) + (1 - frac_l) * reference_gini(
+                rw - rw1, rw1
+            )
+            gain = parent - child
+            if gain > best_gain + 1e-15:
+                best_gain = gain
+                best = (j, 0.5 * (vals[i] + vals[i + 1]))
+    if best is None:
+        return reference_leaf(labels, weights)
+
+    j, threshold = best
+    mask = z[:, j] <= threshold
+    return {
+        "feature": int(j),
+        "threshold": float(threshold),
+        "left": reference_build_node(
+            z[mask], labels[mask], weights[mask], depth + 1, max_depth, min_leaf
+        ),
+        "right": reference_build_node(
+            z[~mask], labels[~mask], weights[~mask], depth + 1, max_depth, min_leaf
+        ),
+    }
+
+
+@st.composite
+def tree_sets(draw):
+    """Two-class sets on a coarse lattice, so many rows tie on a feature."""
+    n = draw(st.integers(10, 1200))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = draw(st.integers(1, 12))
+    z = rng.integers(0, steps + 1, (n, d)) / steps
+    # duplicated rows, as random over-sampling makes
+    dup = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.8]))
+    z[dup] = z[rng.integers(0, n, int(dup.sum()))]
+    # a label that follows the lattice, flipped at a drawn rate
+    labels = (z.sum(axis=1) > rng.random() * d).astype(np.int64)
+    labels ^= (rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.4]))).astype(np.int64)
+    labels[rng.choice(n, 2, replace=False)] = [0, 1]
+    if draw(st.booleans()):
+        counts = np.bincount(labels, minlength=2).astype(np.float64)
+        weights = n / (2.0 * counts[labels])
+    else:
+        weights = np.ones(n)
+    return z, labels, weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_sets(), st.sampled_from([(8, 5), (8, 1), (3, 2), (12, 5)]))
+def test_tree_fit_matches_candidate_loop(data, limits):
+    z, labels, weights = data
+    max_depth, min_leaf = limits
+    hyper = {"max_depth": max_depth, "min_leaf": min_leaf}
+    got = TreeModel.fit(z, plain_set(z, labels, weights), hyper)["root"]
+    want = reference_build_node(z, labels, weights, 0, max_depth, min_leaf)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_tree_keeps_first_of_mirrored_splits():
+    # a mirrored label pattern under reweight-style weights: the two mirrored
+    # splits have the same gain but for rounding, and the later one comes out
+    # larger by less than the 1e-15 margin, so the first one must win
+    half = [1, 1, 1, 0, 0, 1, 1, 0, 0, 1]
+    labels = np.array(half + half[::-1], dtype=np.int64)
+    z = np.linspace(0.0, 1.0, 20)[:, None]
+    weights = 20 / (2.0 * np.bincount(labels)[labels])
+    root = TreeModel.fit(z, plain_set(z, labels, weights), {"max_depth": 1, "min_leaf": 1})["root"]
+    assert root == reference_build_node(z, labels, weights, 0, 1, 1)
+    assert root["threshold"] == pytest.approx(2.5 / 19)
 
 
 class TestKnn:
