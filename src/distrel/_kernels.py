@@ -1,16 +1,20 @@
 """Hot numeric kernels in numpy, plus BLAS tuning.
 
 The pairwise kernels use the (|a|^2 + |b|^2) - 2ab expansion so the inner
-product runs in BLAS. The image kernels (bilinear affine warp, rain-streak
-rendering) work on a whole (n, H, W, C) stack at once: the warp shares one
-set of source coordinates and weights across the stack, and the streak
-renderer loops over the streak index only. ``single_threaded_blas``
+product runs in BLAS. The image kernels work on a whole (n, H, W, C) stack
+at once. The bilinear affine warp shares one set of source coordinates and
+weights across the stack and fetches the four corners of every pixel with
+one gather per block of images. Rain streaks come in two steps:
+``streak_plan`` finds the pixels each streak covers and their blend weights,
+once per set of streaks (the caller caches it), and ``render_streaks``
+blends only those pixels, one streak index at a time. ``single_threaded_blas``
 pins BLAS to one thread for the tight refit/predict loops and for every
 sampler run.
 """
 
 import contextlib
 import ctypes
+import functools
 import os
 
 import numpy as np
@@ -185,62 +189,93 @@ def nearest_k(d, k, block=256):
 # Image kernels
 # ---------------------------------------------------------------------------
 
-def affine_bilinear_warp(stack, m00, m01, m02, m10, m11, m12, fill):
-    """Inverse-mapped affine warp with bilinear interpolation.
+# Images per block of the warp: a block's corner gather and blend work on
+# about this many float64 elements each, so large stacks stay in cache.
+WARP_BLOCK_ELEMENTS = 1 << 15
 
-    ``stack`` is (n, H, W, C) float64; every image gets the same map. For each
-    destination pixel (r, c) the source position is (sx, sy) = M @ (c, r, 1);
-    out-of-frame corners read ``fill``. Coordinates, weights and the clipped
-    corner indices are computed once and shared by the whole stack.
-    """
-    n, h, w, ch = stack.shape
+# offsets of the two corners along an axis: floor and floor + 1
+_CORNER_STEP = np.array([[0], [1]])
+
+
+@functools.lru_cache(maxsize=16)
+def _pixel_coords(h, w):
+    """Read-only row and column coordinates of every pixel, flat, row-major."""
     rr, cc = np.meshgrid(
         np.arange(h, dtype=np.float64),
         np.arange(w, dtype=np.float64),
         indexing="ij",
     )
+    rr, cc = rr.reshape(-1), cc.reshape(-1)
+    rr.flags.writeable = cc.flags.writeable = False
+    return rr, cc
+
+
+def affine_bilinear_warp(stack, m00, m01, m02, m10, m11, m12, fill):
+    """Inverse-mapped affine warp with bilinear interpolation.
+
+    ``stack`` is (n, H, W, C) float64; every image gets the same map. For each
+    destination pixel (r, c) the source position is (sx, sy) = M @ (c, r, 1);
+    out-of-frame corners read ``fill``. Coordinates, weights and corner
+    indices are computed once and shared by the whole stack.
+
+    The stack is laid out pixels-major, (pixels, n*C), inside a 1-px border
+    of ``fill``. Corner indices are clipped to [-1, size], so every
+    out-of-frame corner lands on the border, and one ``np.take`` fetches all
+    four corners of every image. The image axis is split into blocks of
+    about ``WARP_BLOCK_ELEMENTS`` elements; each pixel's blend is the same
+    expression whatever the split.
+    """
+    n, h, w, ch = stack.shape
+    rr, cc = _pixel_coords(h, w)
     sx = m00 * cc + m01 * rr + m02
     sy = m10 * cc + m11 * rr + m12
     x0 = np.floor(sx)
     y0 = np.floor(sy)
-    fx = sx - x0
-    fy = sy - y0
-    x0i = x0.astype(np.int64)
-    y0i = y0.astype(np.int64)
+    fx = (sx - x0)[:, None]
+    fy = (sy - y0)[:, None]
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    # (2, H*W) corner coordinates, clipped and shifted onto the padded frame
+    xi = np.clip(x0.astype(np.int64) + _CORNER_STEP, -1, w) + 1
+    yi = np.clip(y0.astype(np.int64) + _CORNER_STEP, -1, h) + 1
+    corners = (yi[:, None] * (w + 2) + xi[None, :]).reshape(4, -1)
 
-    def corner(yi, xi):
-        valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-        vals = stack[:, np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)]
-        return np.where(valid[..., None], vals, fill)
+    out = np.empty(stack.shape)
+    step = max(WARP_BLOCK_ELEMENTS // (h * w * ch), 1)
+    for start in range(0, n, step):
+        block = stack[start:start + step]
+        b = block.shape[0]
+        padded = np.full((h + 2, w + 2, b, ch), fill)
+        padded[1:-1, 1:-1] = block.transpose(1, 2, 0, 3)
+        p00, p01, p10, p11 = np.take(padded.reshape(-1, b * ch), corners, axis=0)
+        # (1 - fx) p00 + fx p01, and so on, worked in place
+        top = np.multiply(gx, p00, out=p00)
+        top += np.multiply(fx, p01, out=p01)
+        bot = np.multiply(gx, p10, out=p10)
+        bot += np.multiply(fx, p11, out=p11)
+        top *= gy
+        bot *= fy
+        top += bot
+        out[start:start + b] = top.reshape(h, w, b, ch).transpose(2, 0, 1, 3)
+    return out
 
-    p00 = corner(y0i, x0i)
-    p01 = corner(y0i, x0i + 1)
-    p10 = corner(y0i + 1, x0i)
-    p11 = corner(y0i + 1, x0i + 1)
-    fx3 = fx[..., None]
-    fy3 = fy[..., None]
-    top = (1.0 - fx3) * p00 + fx3 * p01
-    bot = (1.0 - fx3) * p10 + fx3 * p11
-    return (1.0 - fy3) * top + fy3 * bot
 
+def streak_plan(n, h, w, xs, ys, lengths, dx, dy, value, alpha):
+    """Which pixels each streak index touches in a (n, H, W) stack, and how.
 
-def render_streaks(stack, xs, ys, lengths, dx, dy, value, alpha):
-    """Alpha-blend anti-aliased bright line segments into a (n, H, W, C) stack.
-
-    Returns the blended stack; a C-contiguous ``stack`` is blended in place.
     The streak parameters are (n, k), row i for image i. Streak j of image i
     starts at (xs[i, j], ys[i, j]) and runs lengths[i, j] pixels along the
-    unit direction (dx[i, j], dy[i, j]) (y grows downward). Coverage falls
-    linearly from 1 on the segment to 0 at 1 px distance, so it is exactly 0
-    outside the segment's bounding box widened by one pixel.
+    unit direction (dx[i, j], dy[i, j]) (y grows downward). Its coverage
+    falls linearly from 1 on the segment to 0 at 1 px distance, and it blends
+    a = alpha * coverage of ``value`` into the pixel.
 
-    The coverage of every streak is computed at once, over one in-frame
-    window per streak that holds that box; all windows share the largest
-    box's size, and where the coverage is 0 the blend returns the pixel
-    unchanged. The blend then loops over the streak index, streak j of every
-    image per step, so overlapping streaks compose in order.
+    Returns one ``(at, keep, add)`` triple per streak index j: the flat
+    indices into the n*H*W pixels where some image's streak j has nonzero
+    coverage, ``1 - a`` and ``value * a`` there. The coverage of every
+    streak is computed at once, over one in-frame window per streak holding
+    its segment's bounding box widened by one pixel (outside it the coverage
+    is exactly 0); all windows share the largest box's size.
     """
-    n, h, w, ch = stack.shape
     x1 = xs + lengths * dx
     y1 = ys + lengths * dy
     rows = _window(np.minimum(ys, y1), np.maximum(ys, y1), h)[..., :, None]
@@ -267,13 +302,31 @@ def render_streaks(stack, xs, ys, lengths, dx, dy, value, alpha):
     np.subtract(1.0, cov, out=cov)
     np.maximum(cov, 0.0, out=cov)
     cov *= alpha
-    a = cov[..., None]
-    pixels = np.ascontiguousarray(stack).reshape(-1, ch)
     index = (np.arange(n)[:, None, None, None] * h + rows) * w + cols
+    plan = []
     for j in range(xs.shape[1]):
-        at = index[:, j]
-        pixels[at] = pixels[at] * (1.0 - a[:, j]) + value * a[:, j]
-    return pixels.reshape(stack.shape)
+        a = cov[:, j]
+        hit = a > 0.0
+        a = a[hit]
+        plan.append((index[:, j][hit], 1.0 - a, value * a))
+    return tuple(plan)
+
+
+def render_streaks(stack, plan):
+    """Alpha-blend the streaks of a :func:`streak_plan` into a (n, H, W, C) stack.
+
+    Returns the blended stack; a C-contiguous ``stack`` is blended in place.
+    The blend loops over the streak index, so overlapping streaks compose in
+    order, and touches only the pixels a streak covers: each becomes
+    ``p * (1 - a) + value * a`` in every channel. A pixel with zero coverage
+    is left as it is, which is what that expression gives it, except that a
+    -0.0 pixel stays -0.0 where the expression would make it +0.0.
+    """
+    out = np.ascontiguousarray(stack)
+    channels = out.reshape(-1, stack.shape[-1]).T
+    for at, keep, add in plan:
+        channels[:, at] = channels[:, at] * keep + add
+    return out
 
 
 def _window(lo, hi, size):

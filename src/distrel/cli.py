@@ -637,7 +637,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (exit 0) or the usage error (exit 2)
+        # already; a usage error is a config error, since 2 means failed cells
+        return 1 if exc.code else 0
     if args.command == "report":
         try:
             return cmd_report(args.path)

@@ -367,7 +367,7 @@ class ClassifierOracle:
 
     def __call__(self, level) -> float:
         distorted = distort_set(self.verification.images, level, self.rain_seed)
-        preds = self.classifier.predict(np.stack(distorted))
+        preds = self.classifier.predict(distorted)
         return float(np.mean(preds == self.verification.labels))
 
 

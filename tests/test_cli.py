@@ -67,6 +67,17 @@ class TestValidation:
         assert rc == 1
         assert "init_count" in capsys.readouterr().err
 
+    def test_usage_error_exits_1(self, capsys):
+        assert main(["pipeline", "--config"]) == 1
+        assert "expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["pipeline", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: distrel")
+        assert captured.err == ""
+
     def test_h_preset_resolution(self, tmp_path):
         cfg = {k: v for k, v in BASE_CONFIG.items() if k != "h"}
         cfg["h_preset"] = "cifar10"
@@ -383,9 +394,7 @@ class TestWorkers:
         extra = {"rebalance": ["--data", "d.csv", "--method", "none"],
                  "train": ["--data", "d.csv"],
                  "evaluate": ["--models", "m.json"]}[command]
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(path), *extra, "--workers", "2"])
-        assert exc.value.code == 2
+        assert main([command, "--config", str(path), *extra, "--workers", "2"]) == 1
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distrel import distortion
+from distrel import _kernels, distortion
 from distrel.distortion import (
     DISTORTION_DIMS,
     apply_distortion,
@@ -154,6 +154,25 @@ class TestDistortSet:
         with pytest.raises(ValueError, match="read-only"):
             draws[0, 0] = 1.0
 
+    def test_returns_one_stack(self):
+        imgs = [checkerboard(6, 5, seed=i) for i in range(3)]
+        out = distort_set(imgs, level(rotation=10.0, rain=1.0))
+        assert isinstance(out, np.ndarray) and out.shape == (3, 6, 5)
+        assert distort_set(np.zeros((2, 4, 4, 3)), level()).shape == (2, 4, 4, 3)
+
+    def test_levels_checked_without_building_a_space(self, monkeypatch):
+        def no_space():
+            raise AssertionError("space built")
+
+        monkeypatch.setattr(distortion, "distortion_space", no_space)
+        distort_set([checkerboard(4, 4)], level(rain=0.5))
+        with pytest.raises(ValueError, match="rotation"):
+            distort_set([checkerboard(4, 4)], level(rotation=120.0))
+
+    def test_distortion_space_is_fresh_each_call(self):
+        a, b = distortion_space(), distortion_space()
+        assert a is not b and a.lowers is not b.lowers
+
     def test_deterministic(self):
         imgs = [checkerboard(10, 10, seed=i) for i in range(3)]
         lv = level(scale=1.1, rotation=15.0, rain=0.5)
@@ -161,6 +180,38 @@ class TestDistortSet:
         b = distort_set(imgs, lv, rain_seed=7)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
+
+
+class TestRainPlan:
+    def test_same_streak_count_shares_one_plan(self):
+        # 16 x 16 at rain 0.9 and at rain 1.0 both draw rint(4.6) = rint(5.1) = 5
+        # streaks; rain seed 987_654 is used by no other test
+        images = np.random.default_rng(14).random((3, 16, 16))
+        before = distortion._rain_plan.cache_info()
+        outs = [distort_set(images, level(rotation=20.0, rain=r), 987_654) for r in (0.9, 1.0)]
+        after = distortion._rain_plan.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        for r, out in zip((0.9, 1.0), outs):
+            for i, img in enumerate(images):
+                want = reference_distortion(img, level(rotation=20.0, rain=r), 987_654 + i)
+                assert np.array_equal(out[i].view(np.uint64), want.view(np.uint64))
+
+    def test_plan_arrays_are_read_only(self):
+        plan = distortion._rain_plan(5, 2, 3, 12, 10)
+        assert plan is distortion._rain_plan(5, 2, 3, 12, 10)
+        assert len(plan) == 3
+        for at, keep, add in plan:
+            assert at.shape == keep.shape == add.shape
+            for a in (at, keep, add):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+
+    def test_cache_is_bounded(self):
+        size = distortion._rain_plan.cache_info().maxsize
+        assert isinstance(size, int) and size > 0
+        for seed in range(size + 3):
+            distortion._rain_plan(10_000 + seed, 1, 1, 4, 4)
+        assert distortion._rain_plan.cache_info().currsize == size
 
 
 class TestProperties:
@@ -294,4 +345,42 @@ def test_distort_set_bit_identical_to_per_image_reference(
     for i, (img, out) in enumerate(zip(images, got)):
         want = reference_distortion(img, lv, rain_seed + i)
         assert out.shape == want.shape
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+
+# maps that send whole rows and columns far outside the frame: translations
+# up to 3 image sizes, and the extreme scales
+_warp_maps = st.tuples(
+    st.one_of(st.sampled_from([0.7, 1.3]), st.floats(0.7, 1.3)),
+    st.floats(0.0, 90.0),
+    st.one_of(st.sampled_from([-3.0, -0.6, 0.6, 3.0]), st.floats(-3.0, 3.0)),
+    st.one_of(st.sampled_from([-3.0, -0.6, 0.6, 3.0]), st.floats(-3.0, 3.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.sampled_from([(16, 16, 1), (7, 13, 1), (1, 1, 1), (2, 9, 1), (5, 4, 3)]),
+    n=st.integers(1, 9),
+    per_block=st.integers(1, 4),
+    slack=st.integers(0, 100),
+    pixel_seed=st.integers(0, 2**32 - 1),
+    warp_map=_warp_maps,
+    fill=st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_warp_matches_per_image_reference(
+    shape, n, per_block, slack, pixel_seed, warp_map, fill
+):
+    h, w, ch = shape
+    images = np.random.default_rng(pixel_seed).random((n, h, w, ch))
+    coeffs = distortion._inverse_affine(w, h, *warp_map)
+    # blocks of per_block images; n from 1 to 9 falls below, on and across
+    # block boundaries
+    budget = per_block * h * w * ch + slack % (h * w * ch)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "WARP_BLOCK_ELEMENTS", budget)
+        got = _kernels.affine_bilinear_warp(images, *coeffs, fill)
+    assert got.shape == images.shape
+    for img, out in zip(images, got):
+        want = _reference_warp(img, *coeffs, fill)
         assert np.array_equal(out.view(np.uint64), want.view(np.uint64))

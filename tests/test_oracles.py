@@ -3,9 +3,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distrel import _kernels
-from distrel.distortion import distortion_space, identity_level
+from distrel.distortion import DISTORTION_DIMS, apply_distortion, distortion_space, identity_level
 from distrel.oracles import (
     CachingOracle,
     KnnImageClassifier,
@@ -211,20 +213,29 @@ class TestClassifierOracle:
         oracle = make_classifier_oracle(clf, vs)
         assert evaluate_accuracy(oracle, identity_level()) == 1.0
 
-    def test_accuracy_matches_per_image_enumeration(self):
-        from distrel.distortion import distort_set
-
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lv=st.tuples(
+            *(
+                st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+                for _, lo, hi in DISTORTION_DIMS
+            )
+        ).map(np.array),
+        kind=st.sampled_from(["nearest-centroid", "k-nn"]),
+        rain_seed=st.integers(0, 2**31),
+    )
+    def test_accuracy_matches_per_image_enumeration(self, lv, kind, rain_seed):
+        # each image distorted and classified alone, against one call that
+        # distorts and classifies the whole set at once
         vs = make_blob_verification_set(10, n_classes=2, size=12, seed=6)
         train = make_blob_verification_set(40, n_classes=2, size=12, seed=7)
-        clf = train_reference_classifier(train, "nearest-centroid")
-        oracle = make_classifier_oracle(clf, vs, rain_seed=11)
-        lv = np.array([0.9, 25.0, 0.05, -0.05, 1.1, 0.3])
-        distorted = distort_set(list(vs.images), lv, 11)
+        clf = train_reference_classifier(train, kind)
+        oracle = make_classifier_oracle(clf, vs, rain_seed=rain_seed)
         per_image = [
-            int(clf.predict(np.stack([img]))[0] == y)
-            for img, y in zip(distorted, vs.labels)
+            int(clf.predict(apply_distortion(img, lv, rain_seed + i)[None])[0] == y)
+            for i, (img, y) in enumerate(zip(vs.images, vs.labels))
         ]
-        assert evaluate_accuracy(oracle, lv) == pytest.approx(sum(per_image) / 10.0)
+        assert evaluate_accuracy(oracle, lv) == sum(per_image) / 10.0
 
     def test_rotation_degrades_accuracy(self):
         vs = make_blob_verification_set(200, n_classes=2, size=16, seed=8)
