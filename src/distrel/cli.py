@@ -10,8 +10,8 @@ to N (sampler, seed) sampling runs at once in forked worker processes, and
 N cells at once on threads; every output byte is the same for any N. An
 error raised in a worker is reported as it would be without workers.
 
-Exit codes: 0 success, 1 validation error, 2 partial cell failure, 3 runtime
-failure.
+Exit codes: 0 success, 1 validation error or an input file that cannot be
+read or parsed, 2 partial cell failure, 3 runtime failure.
 """
 
 import argparse
@@ -23,12 +23,14 @@ import numpy as np
 
 from distrel import __version__
 from distrel import evaluation as ev
+from distrel import files
 from distrel import models as models_mod
 from distrel import oracles as oracles_mod
 from distrel import presets
 from distrel import rebalance as rebalance_mod
 from distrel.distortion import distortion_space
-from distrel.sampling import SamplerConfig, load_labeled_set, save_labeled_set
+from distrel.sampling import LABELED_COLUMNS, LabeledSet, SamplerConfig
+from distrel.sampling import load_labeled_set, save_labeled_set
 # not called here: perfbench/tracing.py wraps cli.run_gp_sampling and cli.run_random_sampling
 from distrel.sampling import run_gp_sampling, run_random_sampling  # noqa: F401
 from distrel.space import SearchSpace
@@ -94,15 +96,9 @@ def _is_number(value) -> bool:
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    return raw
+        return files.read_json(path)
+    except files.InputFileError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def resolve_config(raw: dict, overrides: dict = None) -> dict:
@@ -354,15 +350,18 @@ def write_manifest(out_dir: Path, cfg: dict, command: str, extra: dict = None) -
         "config_hash": ev.config_hash(_json_safe(cfg)),
     }
     doc.update(extra or {})
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files.write_json(out_dir / "manifest.json", doc)
 
 
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _setup(cfg: dict) -> tuple:
+    """The output directory, search space and oracle of a sampling command."""
+    return _out_dir(cfg), build_space(cfg), build_oracle(cfg)
 
 
 def _experiment_kwargs(cfg: dict) -> dict:
@@ -385,9 +384,7 @@ def _experiment_kwargs(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_sample(cfg: dict, workers: int) -> int:
-    out = _out_dir(cfg)
-    space = build_space(cfg)
-    oracle = build_oracle(cfg)
+    out, space, oracle = _setup(cfg)
     sets, calls = ev._sample_sets(
         oracle, space, cfg["h"], cfg["samplers"], cfg["seeds"], _sampler_config(cfg), workers
     )
@@ -404,13 +401,11 @@ def cmd_sample(cfg: dict, workers: int) -> int:
 
 
 def cmd_rebalance(cfg: dict, data_path: str, method: str) -> int:
-    out = _out_dir(cfg)
     space = build_space(cfg)
     if method not in rebalance_mod.METHODS:
-        raise ConfigError(
-            f"unknown method {method!r}; known: {list(rebalance_mod.METHODS)}"
-        )
+        raise ConfigError(f"unknown method {method!r}; known: {list(rebalance_mod.METHODS)}")
     labeled = load_labeled_set(data_path, space, cfg["h"])
+    out = _out_dir(cfg)
     result = rebalance_mod.rebalance(labeled, method, space, seed=cfg["seeds"][0])
     name = f"rebalanced_{method}.csv"
     _write_rebalanced_csv(out / name, result, space)
@@ -420,51 +415,33 @@ def cmd_rebalance(cfg: dict, data_path: str, method: str) -> int:
     return 0
 
 
-def _write_rebalanced_csv(path, result, space) -> None:
-    import csv as _csv
+REBALANCED_COLUMNS = ("label", "weight", "is_synthetic")
 
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(list(space.names) + ["label", "weight", "is_synthetic"])
-        for row, lab, w, syn in zip(
-            result.levels, result.labels, result.weights, result.is_synthetic
-        ):
-            writer.writerow(
-                [f"{v:.17g}" for v in row] + [str(int(lab)), f"{w:.17g}", str(int(syn))]
-            )
+
+def _write_rebalanced_csv(path, result, space) -> None:
+    files.write_levels(path, space.names, result.levels, dict(zip(
+        REBALANCED_COLUMNS, (result.labels, result.weights, result.is_synthetic))))
 
 
 def _read_training_csv(path, space, h):
     """Accept either a sampled LabeledSet CSV or a rebalanced CSV."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    if header == list(space.names) + ["accuracy", "label"]:
-        labeled = load_labeled_set(path, space, h)
-        return rebalance_mod.rebalance(labeled, "none", space)
-    if header == list(space.names) + ["label", "weight", "is_synthetic"]:
-        import csv as _csv
-
-        with open(path, newline="") as fh:
-            reader = _csv.reader(fh)
-            next(reader)
-            rows = [r for r in reader if r]
-        d = space.dim
-        levels = np.array([[float(v) for v in r[:d]] for r in rows])
-        labels = np.array([int(r[d]) for r in rows], dtype=np.int64)
-        weights = np.array([float(r[d + 1]) for r in rows])
-        synth = np.array([bool(int(r[d + 2])) for r in rows])
+    tail, levels, cols = files.read_levels(path, space.names, LABELED_COLUMNS, REBALANCED_COLUMNS)
+    with files.fields_of(path):
+        if tail == LABELED_COLUMNS:
+            labeled = LabeledSet(levels, cols["accuracy"], cols["label"], threshold=h)
+            return rebalance_mod.rebalance(labeled, "none", space)
         return rebalance_mod.RebalancedSet(
-            levels=levels, labels=labels, weights=weights, is_synthetic=synth,
-            parent_index=np.full(len(rows), -1, dtype=np.int64),
+            levels=levels, labels=cols["label"], weights=cols["weight"],
+            is_synthetic=cols["is_synthetic"],
+            parent_index=np.full(len(levels), -1, dtype=np.int64),
             provenance={"method": "loaded", "path": str(path)},
         )
-    raise ConfigError(f"unrecognized training CSV header in {path}")
 
 
 def cmd_train(cfg: dict, data_path: str) -> int:
-    out = _out_dir(cfg)
     space = build_space(cfg)
     data = _read_training_csv(data_path, space, cfg["h"])
+    out = _out_dir(cfg)
     for kind in cfg["kinds"]:
         model = models_mod.train(kind, data, space)
         name = f"model_{kind}.json"
@@ -475,32 +452,29 @@ def cmd_train(cfg: dict, data_path: str) -> int:
 
 
 def cmd_evaluate(cfg: dict, model_paths: list, test_set: str) -> int:
-    out = _out_dir(cfg)
     space = build_space(cfg)
+    # every input is read before the grid's oracle calls and the output directory
+    models = [models_mod.load_model(path) for path in model_paths]
     if test_set:
         grid = load_labeled_set(test_set, space, cfg["h"])
     else:
         oracle = build_oracle(cfg)
         grid = ev.build_grid_test_set(space, cfg["points_per_dim"], oracle, cfg["h"])
+    out = _out_dir(cfg)
     rows = []
-    for path in model_paths:
-        model = models_mod.load_model(path)
+    for path, model in zip(model_paths, models):
         metrics = ev.f1_score(model.predict(grid.levels), grid.labels)
         rows.append({"model": str(path), "kind": model.kind, **metrics.as_dict()})
         print(f"{path}: f1={metrics.f1:.4f} precision={metrics.precision:.4f} "
               f"recall={metrics.recall:.4f}")
-    with open(out / "evaluation.json", "w") as fh:
-        json.dump({"grid_size": grid.n, "grid_positives": grid.positive_count,
-                   "results": rows}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files.write_json(out / "evaluation.json",
+                     {"grid_size": grid.n, "grid_positives": grid.positive_count, "results": rows})
     write_manifest(out, cfg, "evaluate", {"test_set": test_set or "grid"})
     return 0
 
 
 def cmd_pipeline(cfg: dict, workers: int) -> int:
-    out = _out_dir(cfg)
-    space = build_space(cfg)
-    oracle = build_oracle(cfg)
+    out, space, oracle = _setup(cfg)
     report = ev.run_experiment(
         oracle, space, cfg["h"], config=_json_safe(cfg), workers=workers,
         **_experiment_kwargs(cfg),
@@ -518,9 +492,7 @@ def cmd_pipeline(cfg: dict, workers: int) -> int:
 def cmd_sweep_budget(cfg: dict, workers: int) -> int:
     if not cfg["budgets"]:
         raise ConfigError("config field 'budgets' is required for sweep-budget")
-    out = _out_dir(cfg)
-    space = build_space(cfg)
-    oracle = build_oracle(cfg)
+    out, space, oracle = _setup(cfg)
     kwargs = _experiment_kwargs(cfg)
     kwargs.pop("budget")
     rows = ev.sweep_budget(
@@ -539,9 +511,7 @@ def cmd_sweep_threshold(cfg: dict, workers: int) -> int:
     thresholds = cfg["thresholds"]
     if not thresholds:
         thresholds = sorted(presets.THRESHOLD_PRESETS.values())
-    out = _out_dir(cfg)
-    space = build_space(cfg)
-    oracle = build_oracle(cfg)
+    out, space, oracle = _setup(cfg)
     kwargs = _experiment_kwargs(cfg)
     budget = kwargs.pop("budget")
     rows, audit = ev.sweep_threshold(
@@ -561,21 +531,21 @@ def cmd_report(path: str) -> int:
     target = Path(path)
     if target.is_dir():
         target = target / "report.json"
-    with open(target) as fh:
-        doc = json.load(fh)
-    print(f"config hash: {doc['config_hash']}")
-    print(f"grid: {doc['grid']['size']} points, {doc['grid']['positives']} positive")
-    print(f"{'sampler':<8} {'method':<12} {'kind':<9} {'mean F1':>8} {'std':>7} {'cells':>5}")
-    for row in doc["aggregates"]:
-        print(
-            f"{row['sampler']:<8} {row['method']:<12} {row['kind']:<9} "
-            f"{row['mean_f1']:>8.4f} {row['std_f1']:>7.4f} {row['cells']:>5}"
-        )
-    errors = [c for c in doc["cells"] if c["error"]]
-    if errors:
-        print(f"{len(errors)} failed cells:")
+    doc = files.read_json(target)
+    # build every line before printing any, so a bad field prints nothing
+    with files.fields_of(target):
+        lines = [f"config hash: {doc['config_hash']}",
+                 f"grid: {doc['grid']['size']} points, {doc['grid']['positives']} positive",
+                 f"{'sampler':<8} {'method':<12} {'kind':<9} {'mean F1':>8} {'std':>7} {'cells':>5}"]
+        for row in doc["aggregates"]:
+            lines.append(f"{row['sampler']:<8} {row['method']:<12} {row['kind']:<9} "
+                         f"{row['mean_f1']:>8.4f} {row['std_f1']:>7.4f} {row['cells']:>5}")
+        errors = [c for c in doc["cells"] if c["error"]]
+        if errors:
+            lines.append(f"{len(errors)} failed cells:")
         for c in errors:
-            print(f"  {c['sampler']}/{c['method']}/{c['kind']}/seed{c['seed']}: {c['error']}")
+            lines.append(f"  {c['sampler']}/{c['method']}/{c['kind']}/seed{c['seed']}: {c['error']}")
+    print("\n".join(lines))
     return 0
 
 
@@ -636,6 +606,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "sample": lambda cfg, args: cmd_sample(cfg, args.workers),
+    "rebalance": lambda cfg, args: cmd_rebalance(cfg, args.data, args.method),
+    "train": lambda cfg, args: cmd_train(cfg, args.data),
+    "evaluate": lambda cfg, args: cmd_evaluate(cfg, args.models, args.test_set),
+    "pipeline": lambda cfg, args: cmd_pipeline(cfg, args.workers),
+    "sweep-budget": lambda cfg, args: cmd_sweep_budget(cfg, args.workers),
+    "sweep-threshold": lambda cfg, args: cmd_sweep_threshold(cfg, args.workers),
+}
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -643,46 +624,23 @@ def main(argv=None) -> int:
         # argparse has printed the help (exit 0) or the usage error (exit 2)
         # already; a usage error is a config error, since 2 means failed cells
         return 1 if exc.code else 0
-    if args.command == "report":
-        try:
-            return cmd_report(args.path)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    overrides = {"out": args.out}
-    if args.seed is not None:
-        overrides["seeds"] = [args.seed]
     try:
+        if args.command == "report":
+            return cmd_report(args.path)
         if getattr(args, "workers", 1) < 1:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-        cfg = resolve_config(load_config(args.config), overrides)
+        seeds = None if args.seed is None else [args.seed]
+        cfg = resolve_config(load_config(args.config), {"out": args.out, "seeds": seeds})
+        return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    try:
-        if args.command == "sample":
-            return cmd_sample(cfg, args.workers)
-        if args.command == "rebalance":
-            return cmd_rebalance(cfg, args.data, args.method)
-        if args.command == "train":
-            return cmd_train(cfg, args.data)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.models, args.test_set)
-        if args.command == "pipeline":
-            return cmd_pipeline(cfg, args.workers)
-        if args.command == "sweep-budget":
-            return cmd_sweep_budget(cfg, args.workers)
-        if args.command == "sweep-threshold":
-            return cmd_sweep_threshold(cfg, args.workers)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except files.InputFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ cells on threads. Every run and cell is seeded, so results do not depend on
 it.
 """
 
-import csv
 import hashlib
 import inspect
 import json
@@ -22,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from distrel import files
 from distrel import models as models_mod
 from distrel import oracles as oracles_mod
 from distrel import rebalance as rebalance_mod
@@ -187,10 +187,7 @@ class ExperimentReport:
         return config_hash(self.config)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            writer.writerows(_cell_rows(self))
+        files.write_csv(path, CSV_HEADER, _cell_rows(self))
 
     def to_json_dict(self) -> dict:
         def nest(d):
@@ -222,9 +219,7 @@ class ExperimentReport:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        files.write_json(path, self.to_json_dict())
 
 
 def _validate_axes(samplers, methods, kinds):
@@ -514,8 +509,5 @@ def _cell_rows(report) -> list:
 
 def write_sweep_csv(path, rows, key_name: str) -> None:
     """Flatten (key, report) pairs into one CSV with a leading key column."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([key_name] + CSV_HEADER)
-        for key, report in rows:
-            writer.writerows([key] + row for row in _cell_rows(report))
+    files.write_csv(path, [key_name] + CSV_HEADER,
+                    ([key] + row for key, report in rows for row in _cell_rows(report)))

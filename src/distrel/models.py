@@ -26,12 +26,11 @@ the candidates that set a new running maximum, so it picks the same splits
 as a candidate-by-candidate loop.
 """
 
-import json
 import warnings
 
 import numpy as np
 
-from distrel import _kernels
+from distrel import _kernels, files
 from distrel.rebalance import RebalancedSet
 from distrel.space import SearchSpace
 
@@ -330,10 +329,10 @@ def model_from_dict(doc: dict):
 
 
 def save_model(path, model) -> None:
-    with open(path, "w") as fh:
-        json.dump(model.to_dict(), fh, indent=2, sort_keys=True)
+    files.write_json(path, model.to_dict())
 
 
 def load_model(path):
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    doc = files.read_json(path)
+    with files.fields_of(path):
+        return model_from_dict(doc)

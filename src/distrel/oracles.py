@@ -280,6 +280,15 @@ def make_blob_verification_set(
     return VerificationSet(images=images, labels=labels, n_classes=n_classes)
 
 
+def _flatten(images, image_shape: tuple) -> np.ndarray:
+    """A stack of ``image_shape`` images as contiguous rows of pixels."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.shape[1:] != image_shape:
+        raise ValueError(f"images have shape {images.shape[1:]}, "
+                         f"classifier was trained on {image_shape}")
+    return np.ascontiguousarray(images.reshape(images.shape[0], -1))
+
+
 class NearestCentroidClassifier:
     """Predicts the class whose mean training image is closest in pixel space."""
 
@@ -288,18 +297,8 @@ class NearestCentroidClassifier:
         self.image_shape = tuple(image_shape)
 
     def predict(self, images) -> np.ndarray:
-        flat = self._flatten(images)
-        d = _kernels.pairwise_sq_dists(flat, self.centroids)
+        d = _kernels.pairwise_sq_dists(_flatten(images, self.image_shape), self.centroids)
         return np.argmin(d, axis=1)
-
-    def _flatten(self, images) -> np.ndarray:
-        images = np.asarray(images, dtype=np.float64)
-        if images.shape[1:] != self.image_shape:
-            raise ValueError(
-                f"images have shape {images.shape[1:]}, "
-                f"classifier was trained on {self.image_shape}"
-            )
-        return np.ascontiguousarray(images.reshape(images.shape[0], -1))
 
 
 class KnnImageClassifier:
@@ -317,14 +316,7 @@ class KnnImageClassifier:
         self.k = k
 
     def predict(self, images) -> np.ndarray:
-        images = np.asarray(images, dtype=np.float64)
-        if images.shape[1:] != self.image_shape:
-            raise ValueError(
-                f"images have shape {images.shape[1:]}, "
-                f"classifier was trained on {self.image_shape}"
-            )
-        flat = np.ascontiguousarray(images.reshape(images.shape[0], -1))
-        d = _kernels.pairwise_sq_dists(flat, self.train_x)
+        d = _kernels.pairwise_sq_dists(_flatten(images, self.image_shape), self.train_x)
         k = min(self.k, self.train_x.shape[0])
         votes = self.train_y[_kernels.nearest_k(d, k)]
         counts = np.sum(votes[:, :, None] == np.arange(self.n_classes), axis=1)

@@ -14,13 +14,13 @@ counts make the reliable class the minority). beta grows with the iteration
 count to keep exploring.
 """
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from distrel import files
 from distrel import gp as gpmod
 from distrel._kernels import single_threaded_blas
 from distrel.space import SearchSpace
@@ -359,34 +359,17 @@ def run_gp_sampling(oracle, space: SearchSpace, h: float, cfg: SamplerConfig) ->
     return LabeledSet.from_accuracies(np.vstack(levels), np.asarray(accs), h)
 
 
-# ---------------------------------------------------------------------------
-# CSV round-trip (one column per dimension, then accuracy, then label)
-# ---------------------------------------------------------------------------
+# the CSV of a labeled set: one column per dimension, then these
+LABELED_COLUMNS = ("accuracy", "label")
+
 
 def save_labeled_set(path, labeled: LabeledSet, space: SearchSpace) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(space.names) + ["accuracy", "label"])
-        for row, acc, lab in zip(labeled.levels, labeled.accuracies, labeled.labels):
-            writer.writerow(
-                [f"{v:.17g}" for v in row] + [f"{acc:.17g}", str(int(lab))]
-            )
+    files.write_levels(path, space.names, labeled.levels,
+                       dict(zip(LABELED_COLUMNS, (labeled.accuracies, labeled.labels))))
 
 
 def load_labeled_set(path, space: SearchSpace, h: float) -> LabeledSet:
     """Read a training-set CSV and check its labels against ``h``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = list(space.names) + ["accuracy", "label"]
-        if header != expected:
-            raise ValueError(f"unexpected header {header}, expected {expected}")
-        rows = [r for r in reader if r]
-    d = space.dim
-    levels = np.array([[float(v) for v in r[:d]] for r in rows], dtype=np.float64)
-    accs = np.array([float(r[d]) for r in rows], dtype=np.float64)
-    labels = np.array([int(r[d + 1]) for r in rows], dtype=np.int64)
-    if levels.size == 0:
-        levels = levels.reshape(0, d)
-    loaded = LabeledSet(levels=levels, accuracies=accs, labels=labels, threshold=h)
-    return loaded
+    _, levels, cols = files.read_levels(path, space.names, LABELED_COLUMNS)
+    with files.fields_of(path):
+        return LabeledSet(levels, cols["accuracy"], cols["label"], threshold=h)

@@ -67,9 +67,6 @@ class SearchSpace:
         """Inverse of :meth:`normalize`."""
         return self.lowers + np.asarray(unit, dtype=np.float64) * self.ranges
 
-    def clip(self, levels) -> np.ndarray:
-        return np.clip(np.asarray(levels, dtype=np.float64), self.lowers, self.uppers)
-
     def sample_uniform(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. uniform levels over the box, shape (n, d)."""
         return self.denormalize(rng.random((n, self.dim)))

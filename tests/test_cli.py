@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 
 from distrel import cli
 from distrel.cli import ConfigError, build_oracle, build_space, main, resolve_config
+from distrel.distortion import distortion_space
+from distrel.rebalance import RebalancedSet
+from distrel.sampling import LabeledSet, load_labeled_set
 
 # box covering 0.84 of each axis: ~35% positive volume, so small budgets
 # still see both classes
@@ -191,6 +195,30 @@ def test_fuzzed_config_is_rejected_or_builds(oracle, oracle_over, top_over):
     space = build_space(cfg)
     acc = build_oracle(cfg)(space.denormalize(np.full(space.dim, 0.5)))
     assert 0.0 <= acc <= 1.0
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("fault", [
+        "directory", "missing", "unreadable", "not-utf8", "invalid-json", "non-object",
+    ])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, fault):
+        path = tmp_path / "config.json"
+        if fault == "directory":
+            path.mkdir()
+        elif fault == "unreadable":
+            path.write_text(json.dumps(BASE_CONFIG))
+            path.chmod(0)
+            if os.access(path, os.R_OK):
+                pytest.skip("file permissions do not bind this user")
+        elif fault != "missing":
+            path.write_bytes({"not-utf8": b'{"h": "\xff"}', "invalid-json": b'{"h": 0.85,',
+                              "non-object": b"[1, 2]"}[fault])
+        out = tmp_path / "o"
+        assert main(["sample", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(path) in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSample:
@@ -412,6 +440,29 @@ class TestReportCommand:
     def test_missing_report_is_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nothing")]) == 1
 
+    def test_invalid_json_report_is_error(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text('{"config_hash": ')
+        assert main(["report", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("field", ["config_hash", "grid", "aggregates", "cells"])
+    def test_report_missing_field_is_error(self, tmp_path, capsys, field):
+        doc = {"config_hash": "abc", "grid": {"size": 4, "positives": 1},
+               "aggregates": [], "cells": []}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 0
+        assert "config hash: abc" in capsys.readouterr().out
+        del doc[field]
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: missing field '{field}'\n"
+        assert captured.out == ""
+
 
 class TestClassifierOracleConfig:
     def test_blob_pipeline_end_to_end(self, tmp_path):
@@ -435,3 +486,126 @@ class TestClassifierOracleConfig:
         rc = main(["pipeline", "--config", str(path), "--out", str(out)])
         assert rc in (0, 2)  # tiny budgets may starve a cell; files must exist
         assert (out / "report.json").exists()
+
+
+def write_training_csv(path, fault):
+    """A sampled or rebalanced training CSV of BASE_CONFIG's space, with
+    ``fault``; "rebalanced" is a sound rebalanced CSV."""
+    names = ",".join(distortion_space().names)
+    level = "1,45,0,0,1,0.5"
+    text = {
+        "short-row": f"{names},accuracy,label\r\n{level},0.9,1\r\n{level},0.9\r\n",
+        "float-label": f"{names},accuracy,label\r\n{level},0.9,1.5\r\n",
+        "text-flag": f"{names},label,weight,is_synthetic\r\n{level},1,1,yes\r\n",
+        "rebalanced": f"{names},label,weight,is_synthetic\r\n{level},1,1,0\r\n"
+                      f"{level},0,0.5,1\r\n",
+        "zero-weight": f"{names},label,weight,is_synthetic\r\n{level},1,0,0\r\n",
+        # BASE_CONFIG's h is 0.85
+        "label-not-h": f"{names},accuracy,label\r\n{level},0.5,1\r\n",
+        "unknown-header": f"{names},accuracy,label,extra\r\n{level},0.9,1,0\r\n",
+    }[fault]
+    path.write_text(text, newline="")
+    return path
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("fault, where", [
+        ("short-row", "line 3: 7 fields, expected 8"),
+        ("float-label", "line 2: expected 0 or 1, got '1.5'"),
+        ("text-flag", "line 2: expected 0 or 1, got 'yes'"),
+        ("unknown-header", "unexpected header"),
+        ("zero-weight", "invalid content: weights must be positive"),
+        ("label-not-h", "invalid content: label invariant violated at row 0"),
+    ])
+    def test_bad_training_csv_exits_1(self, tmp_path, capsys, fault, where):
+        data = write_training_csv(tmp_path / "data.csv", fault)
+        path = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(path), "--data", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}") and where in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("fault", ["unknown-header", "rebalanced"])
+    def test_wrong_header_exits_1_on_train_and_test_set(self, tmp_path, capsys, command, fault):
+        path = write_config(tmp_path)
+        train = write_training_csv(tmp_path / "train.csv", "rebalanced")
+        assert main(["train", "--config", str(path), "--data", str(train),
+                     "--out", str(tmp_path / "m")]) == 0
+        data = write_training_csv(tmp_path / "data.csv", fault)
+        argv = {"train": ["--data", str(data)],
+                "evaluate": ["--models", str(tmp_path / "m" / "model_knn.json"),
+                             "--test-set", str(data)]}[command]
+        # a rebalanced CSV trains, but it is no test set
+        rc = 0 if (command, fault) == ("train", "rebalanced") else 1
+        capsys.readouterr()
+        assert main([command, "--config", str(path), *argv, "--out", str(tmp_path / "o")]) == rc
+        if rc:
+            assert capsys.readouterr().err.startswith(f"error: {data}: unexpected header")
+            assert not (tmp_path / "o").exists()
+
+    def test_model_file_not_json_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "model_knn.json"
+        model.write_text("knn, k=5\n")
+        path = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["evaluate", "--config", str(path), "--models", str(model),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {model}: Expecting value")
+        assert not out.exists()
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 2.5e-310, 0.1, 1 / 3, 1.0, 1e308, -1e308]
+LEVEL = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+ACCURACY = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 2.5e-310, 0.1, 1 / 3, 1.0]),
+                     st.floats(0.0, 1.0))
+WEIGHT = st.one_of(st.sampled_from([5e-324, 2.5e-310, 0.1, 1.0, 1e308]),
+                   st.floats(min_value=5e-324, allow_infinity=False))
+
+
+def assert_bits_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLevelTableRoundTrip:
+    """Level tables written and read back through every reader, bit for bit."""
+
+    space = distortion_space()
+
+    def levels(self, data, n):
+        rows = data.draw(st.lists(st.lists(LEVEL, min_size=6, max_size=6), min_size=n, max_size=n))
+        return np.array(rows, dtype=np.float64).reshape(n, 6)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 12),
+           h=st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    def test_labeled_set(self, tmp_path_factory, data, n, h):
+        acc = np.array(data.draw(st.lists(ACCURACY, min_size=n, max_size=n)))
+        labeled = LabeledSet.from_accuracies(self.levels(data, n), acc, h)
+        path = tmp_path_factory.mktemp("labeled") / "set.csv"
+        cli.save_labeled_set(path, labeled, self.space)
+        again = load_labeled_set(path, self.space, h)
+        for name in ("levels", "accuracies", "labels"):
+            assert_bits_equal(getattr(again, name), getattr(labeled, name))
+        train = cli._read_training_csv(path, self.space, h)
+        assert_bits_equal(train.levels, labeled.levels)
+        assert_bits_equal(train.labels, labeled.labels)
+        assert_bits_equal(train.weights, np.ones(n))
+        assert_bits_equal(train.is_synthetic, np.zeros(n, dtype=bool))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 12))
+    def test_rebalanced_set(self, tmp_path_factory, data, n):
+        result = RebalancedSet(
+            levels=self.levels(data, n),
+            labels=data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+            weights=data.draw(st.lists(WEIGHT, min_size=n, max_size=n)),
+            is_synthetic=data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+            parent_index=np.full(n, -1, dtype=np.int64),
+        )
+        path = tmp_path_factory.mktemp("rebalanced") / "set.csv"
+        cli._write_rebalanced_csv(path, result, self.space)
+        again = cli._read_training_csv(path, self.space, 0.5)
+        for name in ("levels", "labels", "weights", "is_synthetic", "parent_index"):
+            assert_bits_equal(getattr(again, name), getattr(result, name))

@@ -328,7 +328,9 @@ class TestCommon:
         again = load_model(path)
         probes = rng.random((25, 2))
         np.testing.assert_array_equal(model.predict(probes), again.predict(probes))
-        doc = json.loads(path.read_text())
+        text = path.read_text()
+        assert text.endswith("}\n") and not text.endswith("\n\n")
+        doc = json.loads(text)
         assert doc["format_version"] == 1
         assert doc["kind"] == kind
         assert "bounds" in doc
