@@ -29,7 +29,7 @@ from distrel import oracles as oracles_mod
 from distrel import presets
 from distrel import rebalance as rebalance_mod
 from distrel.distortion import distortion_space
-from distrel.sampling import LABELED_COLUMNS, LabeledSet, SamplerConfig
+from distrel.sampling import LABELED_COLUMNS, LabeledSet
 from distrel.sampling import load_labeled_set, save_labeled_set
 # not called here: perfbench/tracing.py wraps cli.run_gp_sampling and cli.run_random_sampling
 from distrel.sampling import run_gp_sampling, run_random_sampling  # noqa: F401
@@ -43,15 +43,7 @@ _DEFAULTS = {
     "h": None,
     "h_preset": None,
     "budget": 600,
-    "init_count": SamplerConfig.init_count,
-    "delta": SamplerConfig.delta,
-    "samplers": ["random", "gp"],
-    "methods": ["none", "smote"],
-    "kinds": ["logistic", "tree", "knn"],
-    "seeds": [0, 1, 2, 3, 4],
-    "points_per_dim": 4,
-    "acquisition_candidates": SamplerConfig.acquisition_candidates,
-    "refine_steps": SamplerConfig.refine_steps,
+    **ev.RUN_OPTIONS,
     "budgets": None,
     "thresholds": None,
     "out": "runs/latest",
@@ -104,9 +96,9 @@ def load_config(path) -> dict:
 def resolve_config(raw: dict, overrides: dict = None) -> dict:
     """Merge defaults, file values and CLI overrides; validate everything.
 
-    The sampler fields are checked by building the run's SamplerConfig and a
-    synthetic oracle by building its SyntheticOracleSpec, so each check lives
-    with the object it guards.
+    The run options and the budget are checked by the experiment's own
+    checker and a synthetic oracle by building its SyntheticOracleSpec, so
+    each check lives with the object it guards.
     """
     unknown = set(raw) - set(_DEFAULTS) - {"oracle"}
     if unknown:
@@ -139,20 +131,9 @@ def resolve_config(raw: dict, overrides: dict = None) -> dict:
         _fail("h", f"must be a number in [0, 1], got {cfg['h']!r}")
 
     try:
-        _sampler_config(cfg)
+        ev.check_run_options(cfg["budget"], _run_options(cfg))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    if not _is_int(cfg["points_per_dim"]) or cfg["points_per_dim"] < 2:
-        _fail("points_per_dim", f"must be an integer >= 2, got {cfg['points_per_dim']!r}")
-
-    _check_names(cfg, "samplers", ev.SAMPLERS)
-    _check_names(cfg, "methods", rebalance_mod.METHODS)
-    _check_names(cfg, "kinds", models_mod.KINDS)
-    seeds = cfg["seeds"]
-    if not isinstance(seeds, list) or not seeds or not all(
-        _is_int(s) and s >= 0 for s in seeds
-    ):
-        _fail("seeds", f"must be a non-empty list of unsigned integers, got {seeds!r}")
     if cfg["budgets"] is not None and (
         not isinstance(cfg["budgets"], list)
         or not all(_is_int(b) and b > cfg["init_count"] for b in cfg["budgets"])
@@ -174,15 +155,6 @@ def resolve_config(raw: dict, overrides: dict = None) -> dict:
     except (TypeError, ValueError, ArithmeticError) as exc:
         _fail("oracle", str(exc))
     return cfg
-
-
-def _check_names(cfg, field, known):
-    names = cfg[field]
-    if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
-        _fail(field, f"must be a non-empty list of names, got {names!r}")
-    for name in names:
-        if name not in known:
-            _fail(field, f"unknown name {name!r}; known: {list(known)}")
 
 
 def _resolve_space_field(value):
@@ -260,9 +232,9 @@ def _classifier_dataset(spec: dict) -> dict:
     return d
 
 
-def _sampler_config(cfg: dict) -> SamplerConfig:
-    """The run's SamplerConfig; each (sampler, seed) run replaces its seed."""
-    return SamplerConfig(budget=cfg["budget"], **{k: cfg[k] for k in ev.SAMPLER_OPTIONS})
+def _run_options(cfg: dict) -> dict:
+    """The config's fields that evaluation.RUN_OPTIONS names."""
+    return {k: cfg[k] for k in ev.RUN_OPTIONS}
 
 
 def build_space(cfg: dict) -> SearchSpace:
@@ -364,29 +336,15 @@ def _setup(cfg: dict) -> tuple:
     return _out_dir(cfg), build_space(cfg), build_oracle(cfg)
 
 
-def _experiment_kwargs(cfg: dict) -> dict:
-    return {
-        "budget": cfg["budget"],
-        "init_count": cfg["init_count"],
-        "delta": cfg["delta"],
-        "samplers": tuple(cfg["samplers"]),
-        "methods": tuple(cfg["methods"]),
-        "kinds": tuple(cfg["kinds"]),
-        "seeds": tuple(cfg["seeds"]),
-        "points_per_dim": cfg["points_per_dim"],
-        "acquisition_candidates": cfg["acquisition_candidates"],
-        "refine_steps": cfg["refine_steps"],
-    }
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def cmd_sample(cfg: dict, workers: int) -> int:
+    sampler_cfg, _ = ev.check_run_options(cfg["budget"], _run_options(cfg))
     out, space, oracle = _setup(cfg)
     sets, calls = ev._sample_sets(
-        oracle, space, cfg["h"], cfg["samplers"], cfg["seeds"], _sampler_config(cfg), workers
+        oracle, space, cfg["h"], cfg["samplers"], cfg["seeds"], sampler_cfg, workers
     )
     for sampler in cfg["samplers"]:
         for seed in cfg["seeds"]:
@@ -475,10 +433,8 @@ def cmd_evaluate(cfg: dict, model_paths: list, test_set: str) -> int:
 
 def cmd_pipeline(cfg: dict, workers: int) -> int:
     out, space, oracle = _setup(cfg)
-    report = ev.run_experiment(
-        oracle, space, cfg["h"], config=_json_safe(cfg), workers=workers,
-        **_experiment_kwargs(cfg),
-    )
+    report = ev.run_experiment(oracle, space, cfg["h"], budget=cfg["budget"],
+                               config=_json_safe(cfg), workers=workers, **_run_options(cfg))
     report.write_csv(out / "report.csv")
     report.write_json(out / "report.json")
     write_manifest(out, cfg, "pipeline", {
@@ -493,12 +449,8 @@ def cmd_sweep_budget(cfg: dict, workers: int) -> int:
     if not cfg["budgets"]:
         raise ConfigError("config field 'budgets' is required for sweep-budget")
     out, space, oracle = _setup(cfg)
-    kwargs = _experiment_kwargs(cfg)
-    kwargs.pop("budget")
-    rows = ev.sweep_budget(
-        oracle, space, cfg["h"], cfg["budgets"], config=_json_safe(cfg),
-        workers=workers, **kwargs,
-    )
+    rows = ev.sweep_budget(oracle, space, cfg["h"], cfg["budgets"], config=_json_safe(cfg),
+                           workers=workers, **_run_options(cfg))
     ev.write_sweep_csv(out / "budget_sweep.csv", rows, "budget")
     for budget, report in rows:
         report.write_json(out / f"report_budget{budget}.json")
@@ -512,12 +464,8 @@ def cmd_sweep_threshold(cfg: dict, workers: int) -> int:
     if not thresholds:
         thresholds = sorted(presets.THRESHOLD_PRESETS.values())
     out, space, oracle = _setup(cfg)
-    kwargs = _experiment_kwargs(cfg)
-    budget = kwargs.pop("budget")
-    rows, audit = ev.sweep_threshold(
-        oracle, space, thresholds, budget=budget, config=_json_safe(cfg),
-        workers=workers, **kwargs,
-    )
+    rows, audit = ev.sweep_threshold(oracle, space, thresholds, budget=cfg["budget"],
+                                     config=_json_safe(cfg), workers=workers, **_run_options(cfg))
     ev.write_sweep_csv(out / "threshold_sweep.csv", rows, "h")
     for h, report in rows:
         report.write_json(out / f"report_h{h:g}.json")

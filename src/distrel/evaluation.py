@@ -13,11 +13,11 @@ it.
 """
 
 import hashlib
-import inspect
 import json
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,8 +30,20 @@ from distrel.sampling import LabeledSet, SamplerConfig, run_gp_sampling, run_ran
 from distrel.space import SearchSpace
 
 SAMPLERS = ("random", "gp")
-# SamplerConfig fields one run shares across all its (sampler, seed) pairs
-SAMPLER_OPTIONS = ("init_count", "delta", "acquisition_candidates", "refine_steps")
+# Every option of a run besides its budget, with its default. The SamplerConfig
+# fields are shared by all (sampler, seed) runs of an experiment; the CLI's
+# config fields of the same names take their defaults from here.
+RUN_OPTIONS = {
+    "init_count": SamplerConfig.init_count,
+    "delta": SamplerConfig.delta,
+    "acquisition_candidates": SamplerConfig.acquisition_candidates,
+    "refine_steps": SamplerConfig.refine_steps,
+    "samplers": SAMPLERS,
+    "methods": ("none", "smote"),
+    "kinds": models_mod.KINDS,
+    "seeds": (0, 1, 2, 3, 4),
+    "points_per_dim": 4,
+}
 REPORT_FORMAT_VERSION = 1
 CSV_HEADER = [
     "sampler", "method", "kind", "seed",
@@ -94,9 +106,14 @@ def f1_score(predictions, truth) -> Metrics:
 
 
 def build_grid_test_set(space: SearchSpace, points_per_dim: int, oracle, h: float) -> LabeledSet:
-    """Label the full Cartesian lattice (points_per_dim^d points) with the oracle."""
+    """Label the full Cartesian lattice (points_per_dim^d points) with the oracle.
+
+    BLAS stays on one thread meanwhile: an image classifier's small distance
+    products run several times slower on two threads of a small shared host.
+    """
     levels = space.grid(points_per_dim)
-    accs = oracles_mod.evaluate_many(oracle, levels)
+    with single_threaded_blas():
+        accs = oracles_mod.evaluate_many(oracle, levels)
     return LabeledSet.from_accuracies(levels, accs, h)
 
 
@@ -222,18 +239,53 @@ class ExperimentReport:
         files.write_json(path, self.to_json_dict())
 
 
-def _validate_axes(samplers, methods, kinds):
-    for s in samplers:
-        if s not in SAMPLERS:
-            raise ValueError(f"unknown sampler {s!r}; known: {SAMPLERS}")
-    for m in methods:
-        if m not in rebalance_mod.METHODS:
-            raise ValueError(
-                f"unknown imbalance method {m!r}; known: {rebalance_mod.METHODS}"
-            )
-    for k in kinds:
-        if k not in models_mod.KINDS:
-            raise ValueError(f"unknown model kind {k!r}; known: {models_mod.KINDS}")
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_run_options(budget, options: dict) -> tuple:
+    """Check ``budget`` and every option, filling left-out ones in from RUN_OPTIONS.
+
+    Returns the run's SamplerConfig (each (sampler, seed) run replaces its
+    seed) and the filled options. Raises TypeError or ValueError with a
+    message that names the field.
+    """
+    unknown = set(options) - set(RUN_OPTIONS)
+    if unknown:
+        raise TypeError(f"unexpected arguments {sorted(unknown)}")
+    opts = {**RUN_OPTIONS, **options}
+    for name, known, what in (("samplers", SAMPLERS, "sampler"),
+                              ("methods", rebalance_mod.METHODS, "imbalance method"),
+                              ("kinds", models_mod.KINDS, "model kind")):
+        names = opts[name]
+        if not isinstance(names, (list, tuple)) or not names or not all(
+            isinstance(n, str) for n in names
+        ):
+            raise ValueError(f"{name} must be a non-empty list of names, got {names!r}")
+        for n in names:
+            if n not in known:
+                raise ValueError(f"unknown {what} {n!r} in {name}; known: {list(known)}")
+    seeds = opts["seeds"]
+    if not isinstance(seeds, (list, tuple)) or not seeds or not all(
+        _is_int(s) and s >= 0 for s in seeds
+    ):
+        raise ValueError(f"seeds must be a non-empty list of unsigned integers, got {seeds!r}")
+    if not _is_int(opts["points_per_dim"]) or opts["points_per_dim"] < 2:
+        raise ValueError(f"points_per_dim must be an integer >= 2, got {opts['points_per_dim']!r}")
+    sampler_cfg = SamplerConfig(budget=budget, **{
+        f.name: opts[f.name] for f in fields(SamplerConfig) if f.name in opts
+    })
+    return sampler_cfg, opts
+
+
+def _check_thresholds(h_values) -> list:
+    h_values = [float(h) for h in h_values]
+    if not h_values:
+        raise ValueError("need at least one threshold")
+    for h in h_values:
+        if not 0.0 <= h <= 1.0:
+            raise ValueError(f"threshold must be in [0, 1], got {h}")
+    return h_values
 
 
 def run_sampler(sampler, oracle, space, h, cfg: SamplerConfig):
@@ -308,26 +360,17 @@ def _run_job(index):
 
 def _evaluate_cells(train_sets, grid, space, methods, kinds, workers=1):
     """Rebalance/train/score each cell; failures are recorded, not raised."""
-    rebalanced = {}
+    jobs = []
     for (sampler, seed), labeled in sorted(train_sets.items()):
         for method in methods:
-            key = (sampler, seed, method)
             try:
-                rebalanced[key] = rebalance_mod.rebalance(
-                    labeled, method, space, seed=seed
-                )
+                pre = rebalance_mod.rebalance(labeled, method, space, seed=seed)
             except Exception as exc:
-                rebalanced[key] = exc
-
-    jobs = []
-    for (sampler, seed), _ in sorted(train_sets.items()):
-        for method in methods:
-            for kind in kinds:
-                jobs.append((sampler, seed, method, kind))
+                pre = exc
+            jobs += [(sampler, seed, method, kind, pre) for kind in kinds]
 
     def run_cell(job):
-        sampler, seed, method, kind = job
-        pre = rebalanced[(sampler, seed, method)]
+        sampler, seed, method, kind, pre = job
         if isinstance(pre, Exception):
             return CellResult(sampler, method, kind, seed, error=str(pre))
         try:
@@ -340,155 +383,108 @@ def _evaluate_cells(train_sets, grid, space, methods, kinds, workers=1):
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(run_cell, jobs))
-    else:
-        cells = [run_cell(j) for j in jobs]
-    return cells
+            return list(pool.map(run_cell, jobs))
+    return [run_cell(j) for j in jobs]
 
 
-def run_experiment(
-    oracle,
-    space: SearchSpace,
-    h: float,
-    *,
-    budget: int,
-    init_count: int = SamplerConfig.init_count,
-    delta: float = SamplerConfig.delta,
-    samplers=SAMPLERS,
-    methods=("none", "smote"),
-    kinds=models_mod.KINDS,
-    seeds=(0, 1, 2, 3, 4),
-    points_per_dim: int = 4,
-    acquisition_candidates: int = SamplerConfig.acquisition_candidates,
-    refine_steps: int = SamplerConfig.refine_steps,
-    grid: LabeledSet = None,
-    config: dict = None,
-    workers: int = 1,
-) -> ExperimentReport:
-    """Run the sampler x method x kind matrix over the given seeds.
+def _experiment(oracle, space, h_values, budget, options, grid, workers, config_at,
+                on_sampled=None) -> list:
+    """The one sample-then-score path; returns an (h, ExperimentReport) pair per threshold.
 
-    The grid test set is built once (or passed in) and shared by every cell,
-    so test labels never depend on what is being evaluated. Cell failures are
-    recorded in the report while the other cells proceed.
+    Every argument is checked before the first oracle call. The grid (unless
+    passed) and every (sampler, seed) set are labelled against
+    ``h_values[0]`` under one BLAS pin; ``on_sampled(train_sets)`` runs next.
+    Each threshold then relabels the stored accuracies and scores the
+    matrix; ``config_at(h)`` is its report's config.
     """
-    _validate_axes(samplers, methods, kinds)
-    cfg = SamplerConfig(
-        budget=budget,
-        init_count=init_count,
-        delta=delta,
-        acquisition_candidates=acquisition_candidates,
-        refine_steps=refine_steps,
-    )
-    if grid is None:
-        grid = build_grid_test_set(space, points_per_dim, oracle, h)
-    elif grid.threshold != h:
-        grid = grid.relabeled(h)
-
-    train_sets, oracle_calls = _sample_sets(oracle, space, h, samplers, seeds, cfg, workers)
-    cells = _evaluate_cells(train_sets, grid, space, methods, kinds, workers)
-    return ExperimentReport(
-        cells=cells,
-        positive_counts={k: v.positive_count for k, v in train_sets.items()},
-        oracle_calls=oracle_calls,
-        grid_size=grid.n,
-        grid_positive_count=grid.positive_count,
-        seeds=tuple(seeds),
-        config=config or {},
-    )
-
-
-# run_experiment's keyword defaults; the sweeps take the same keywords and
-# fill them from here rather than declaring defaults of their own
-_RUN_DEFAULTS = {
-    name: p.default
-    for name, p in inspect.signature(run_experiment).parameters.items()
-    if p.default is not p.empty
-}
-
-
-def _with_run_defaults(kwargs: dict) -> dict:
-    unknown = set(kwargs) - set(_RUN_DEFAULTS)
-    if unknown:
-        raise TypeError(f"unexpected arguments {sorted(unknown)}")
-    return {**_RUN_DEFAULTS, **kwargs}
-
-
-def sweep_budget(oracle, space, h, budgets, *, config: dict = None, **kwargs) -> list:
-    """run_experiment per budget, reusing one shared grid; rows keyed by budget.
-
-    Takes run_experiment's keywords except ``budget`` and ``config``.
-    """
-    if not budgets:
-        raise ValueError("need at least one budget")
-    kwargs = _with_run_defaults(kwargs)
-    if kwargs["grid"] is None:
-        kwargs["grid"] = build_grid_test_set(space, kwargs["points_per_dim"], oracle, h)
-    out = []
-    for budget in budgets:
-        kwargs["config"] = {**(config or {}), "budget": budget}
-        out.append((int(budget), run_experiment(oracle, space, h, budget=budget, **kwargs)))
-    return out
-
-
-def sweep_threshold(oracle, space, h_values, *, budget, config: dict = None, **kwargs) -> tuple:
-    """Re-evaluate the matrix at each threshold without new oracle calls.
-
-    Samples once per (sampler, seed) and builds the grid once; every
-    threshold then relabels the stored accuracies. Takes run_experiment's
-    keywords except ``config``; a passed ``grid`` is relabeled like the
-    built one. Returns (rows, audit) where rows are (h, ExperimentReport)
-    pairs and audit proves the oracle call count did not grow during the
-    sweep.
-    """
-    h_values = [float(h) for h in h_values]
-    if not h_values:
-        raise ValueError("need at least one threshold")
-    for h in h_values:
-        if not 0.0 <= h <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {h}")
-    kw = _with_run_defaults(kwargs)
-    _validate_axes(kw["samplers"], kw["methods"], kw["kinds"])
-    cfg = SamplerConfig(budget=budget, **{k: kw[k] for k in SAMPLER_OPTIONS})
-
-    # one shared sample per (sampler, seed), drawn against the first threshold
-    # only: the GP sampler's mean-term sign follows the minority class at that
-    # threshold, so its sets target h_values[0]'s boundary, not each h's.
-    # Labels are recomputed per threshold from the stored accuracies.
-    audited = oracles_mod.caching_oracle(oracle)
-    h_ref = h_values[0]
-    grid = kw["grid"]
-    if grid is None:
-        grid = build_grid_test_set(space, kw["points_per_dim"], audited, h_ref)
-    train_sets, oracle_calls = _sample_sets(
-        audited, space, h_ref, kw["samplers"], kw["seeds"], cfg, kw["workers"]
-    )
-    # runs in worker processes queried their own copies of ``audited``
-    for labeled in train_sets.values():
-        audited.record(labeled.levels, labeled.accuracies)
-    calls_after_sampling = audited.inner_calls
-
+    h_values = _check_thresholds(h_values)
+    sampler_cfg, opts = check_run_options(budget, options)
+    with single_threaded_blas():
+        if grid is None:
+            grid = build_grid_test_set(space, opts["points_per_dim"], oracle, h_values[0])
+        train_sets, oracle_calls = _sample_sets(
+            oracle, space, h_values[0], opts["samplers"], opts["seeds"], sampler_cfg, workers
+        )
+    if on_sampled is not None:
+        on_sampled(train_sets)
     rows = []
     for h in h_values:
-        relabeled = {k: v.relabeled(h) for k, v in train_sets.items()}
+        sets_h = {k: v.relabeled(h) for k, v in train_sets.items()}
         grid_h = grid.relabeled(h)
-        cells = _evaluate_cells(
-            relabeled, grid_h, space, kw["methods"], kw["kinds"], kw["workers"]
-        )
-        report = ExperimentReport(
-            cells=cells,
-            positive_counts={k: v.positive_count for k, v in relabeled.items()},
+        rows.append((h, ExperimentReport(
+            cells=_evaluate_cells(sets_h, grid_h, space, opts["methods"], opts["kinds"], workers),
+            positive_counts={k: v.positive_count for k, v in sets_h.items()},
             oracle_calls=dict(oracle_calls),
             grid_size=grid_h.n,
             grid_positive_count=grid_h.positive_count,
-            seeds=tuple(kw["seeds"]),
-            config={**(config or {}), "h": h},
-        )
-        rows.append((h, report))
+            seeds=tuple(opts["seeds"]),
+            config=config_at(h),
+        )))
+    return rows
 
+
+def run_experiment(oracle, space: SearchSpace, h: float, *, budget: int, grid: LabeledSet = None,
+                   config: dict = None, workers: int = 1, **options) -> ExperimentReport:
+    """Run the sampler x method x kind matrix over the given seeds.
+
+    ``options`` are RUN_OPTIONS' names; each one left out takes its default
+    there. The grid test set is built once (or passed in) and shared by
+    every cell, so test labels never depend on what is being evaluated.
+    Cell failures are recorded in the report while the other cells proceed.
+    """
+    [(_, report)] = _experiment(oracle, space, [h], budget, options, grid, workers,
+                                lambda _: config or {})
+    return report
+
+
+def sweep_budget(oracle, space, h, budgets, *, grid: LabeledSet = None, config: dict = None,
+                 workers: int = 1, **options) -> list:
+    """run_experiment per budget, reusing one shared grid; rows keyed by budget.
+
+    Takes run_experiment's keywords except ``budget``. Every budget is
+    checked before the grid's first oracle call.
+    """
+    if not budgets:
+        raise ValueError("need at least one budget")
+    [h] = _check_thresholds([h])
+    for budget in budgets:
+        _, opts = check_run_options(budget, options)
+    if grid is None:
+        grid = build_grid_test_set(space, opts["points_per_dim"], oracle, h)
+    return [
+        (int(budget), run_experiment(oracle, space, h, budget=budget, grid=grid, workers=workers,
+                                     config={**(config or {}), "budget": budget}, **options))
+        for budget in budgets
+    ]
+
+
+def sweep_threshold(oracle, space, h_values, *, budget, grid: LabeledSet = None,
+                    config: dict = None, workers: int = 1, **options) -> tuple:
+    """Re-evaluate the matrix at each threshold without new oracle calls.
+
+    Samples once per (sampler, seed) and labels the grid once, both against
+    the first threshold only: the GP sampler's mean-term sign follows the
+    minority class there, so its sets target that boundary, not each h's.
+    Every threshold then relabels the stored accuracies. Takes
+    run_experiment's keywords; a passed ``grid`` is relabeled like the built
+    one. Returns (rows, audit) where rows are (h, ExperimentReport) pairs and
+    audit proves the oracle call count did not grow during the sweep.
+    """
+    audited = oracles_mod.caching_oracle(oracle)
+    after_sampling = []
+
+    def record(train_sets):
+        # runs in worker processes queried their own copies of ``audited``
+        for labeled in train_sets.values():
+            audited.record(labeled.levels, labeled.accuracies)
+        after_sampling.append(audited.inner_calls)
+
+    rows = _experiment(audited, space, h_values, budget, options, grid, workers,
+                       lambda h: {**(config or {}), "h": h}, record)
     audit = {
-        "oracle_calls_after_sampling": calls_after_sampling,
+        "oracle_calls_after_sampling": after_sampling[0],
         "oracle_calls_after_sweep": audited.inner_calls,
-        "extra_calls_during_sweep": audited.inner_calls - calls_after_sampling,
+        "extra_calls_during_sweep": audited.inner_calls - after_sampling[0],
     }
     return rows, audit
 

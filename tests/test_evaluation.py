@@ -58,6 +58,13 @@ def fast_kwargs(**over):
     return kw
 
 
+def sweep_kwargs(**over):
+    """fast_kwargs without the budget, as sweep_budget takes them."""
+    kw = fast_kwargs(**over)
+    del kw["budget"]
+    return kw
+
+
 class TestF1:
     def test_perfect_prediction(self):
         m = f1_score([1, 0, 1, 0], [1, 0, 1, 0])
@@ -214,6 +221,12 @@ class TestRunExperiment:
         sets, _ = _sample_sets(oracle, plane_space(), 0.85, ("random", "gp"), (0, 1), cfg, workers)
         for labeled in sets.values():
             assert np.array_equal(labeled.accuracies, bump.evaluate_many(labeled.levels))
+        # the grid too, labelled alone and inside a whole run
+        grid = build_grid_test_set(plane_space(), 5, oracle, 0.85)
+        assert np.array_equal(grid.accuracies, bump.evaluate_many(grid.levels))
+        report = run_experiment(oracle, plane_space(), 0.85, workers=workers, **fast_kwargs(
+            budget=20, init_count=8, methods=("none",), seeds=(0, 1)))
+        assert report.grid_positive_count == grid.positive_count > 0
 
     def test_unpicklable_oracle_runs_on_workers(self):
         # a lambda cannot be pickled: the worker processes must inherit it
@@ -302,18 +315,27 @@ class TestSweeps:
         assert rows[0][1].grid_size == rows[1][1].grid_size
 
     def test_single_budget_equals_run_experiment(self):
+        # both sweeps at one point give run_experiment's whole report; a
+        # repeated threshold gives a repeated row
         oracle = fat_oracle()
         grid = build_grid_test_set(plane_space(), 5, oracle, 0.85)
-        kw = dict(
-            init_count=12, samplers=("random",), methods=("none",), kinds=("knn",),
-            seeds=(0,), acquisition_candidates=128, refine_steps=6,
-        )
-        rows = sweep_budget(oracle, plane_space(), 0.85, [40], grid=grid, **kw)
-        direct = run_experiment(
-            oracle, plane_space(), 0.85, budget=40, grid=grid,
-            points_per_dim=5, **kw,
-        )
-        assert rows[0][1].cells[0].metrics.f1 == direct.cells[0].metrics.f1
+
+        def body(report):
+            return {k: v for k, v in report.to_json_dict().items() if k not in ("config", "config_hash")}
+
+        for workers in (1, 2):
+            kw = dict(
+                init_count=12, samplers=("random", "gp"), methods=("none", "smote"),
+                kinds=("knn", "tree"), seeds=(0, 1), acquisition_candidates=128, refine_steps=6,
+                grid=grid, workers=workers,
+            )
+            direct = run_experiment(oracle, plane_space(), 0.85, budget=40, **kw)
+            [(budget, by_budget)] = sweep_budget(oracle, plane_space(), 0.85, [40], **kw)
+            by_h, _ = sweep_threshold(oracle, plane_space(), [0.85, 0.85], budget=40, **kw)
+            assert budget == 40 and [h for h, _ in by_h] == [0.85, 0.85]
+            assert body(by_budget) == body(direct)
+            assert all(body(report) == body(direct) for _, report in by_h)
+            assert not direct.has_errors
 
     def test_threshold_sweep_no_extra_oracle_calls(self):
         base = fat_oracle()
@@ -352,6 +374,26 @@ class TestSweeps:
         )
         positives = [r.positive_counts[("random", 0)] for _, r in rows]
         assert positives[0] >= positives[1] >= positives[2]
+
+    @pytest.mark.parametrize("call", [
+        lambda oracle: sweep_budget(oracle, plane_space(), 0.85, [30], **sweep_kwargs(samplers=("sobol",))),
+        lambda oracle: sweep_budget(oracle, plane_space(), 0.85, [12], **sweep_kwargs()),
+        lambda oracle: sweep_budget(oracle, plane_space(), 0.85, [30, 12], **sweep_kwargs()),
+        lambda oracle: run_experiment(oracle, plane_space(), 1.5, **fast_kwargs()),
+        lambda oracle: sweep_threshold(oracle, plane_space(), [0.85], **fast_kwargs(kinds=("svm",))),
+    ], ids=["unknown-sampler", "init-count-at-budget", "later-budget-at-init-count",
+            "h-above-1", "unknown-kind"])
+    def test_bad_argument_raises_before_any_oracle_call(self, call):
+        bump = fat_oracle()
+        calls = []
+
+        def oracle(level):
+            calls.append(level)
+            return bump(level)
+
+        with pytest.raises(ValueError):
+            call(oracle)
+        assert calls == []
 
     def test_threshold_out_of_range_rejected(self):
         base = fat_oracle()
