@@ -134,11 +134,13 @@ def resolve_config(raw: dict, overrides: dict = None) -> dict:
         ev.check_run_options(cfg["budget"], _run_options(cfg))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    if cfg["budgets"] is not None and (
-        not isinstance(cfg["budgets"], list)
-        or not all(_is_int(b) and b > cfg["init_count"] for b in cfg["budgets"])
-    ):
-        _fail("budgets", "must be a list of integers > init_count")
+    if cfg["budgets"] is not None and not isinstance(cfg["budgets"], list):
+        _fail("budgets", f"must be a list of budgets, got {cfg['budgets']!r}")
+    for budget in cfg["budgets"] or []:
+        try:
+            ev.check_run_options(budget, _run_options(cfg))
+        except (TypeError, ValueError) as exc:
+            _fail("budgets", str(exc))
     if cfg["thresholds"] is not None and (
         not isinstance(cfg["thresholds"], list)
         or not all(_is_number(t) and 0 <= t <= 1 for t in cfg["thresholds"])
@@ -343,7 +345,7 @@ def _setup(cfg: dict) -> tuple:
 def cmd_sample(cfg: dict, workers: int) -> int:
     sampler_cfg, _ = ev.check_run_options(cfg["budget"], _run_options(cfg))
     out, space, oracle = _setup(cfg)
-    sets, calls = ev._sample_sets(
+    sets = ev._sample_sets(
         oracle, space, cfg["h"], cfg["samplers"], cfg["seeds"], sampler_cfg, workers
     )
     for sampler in cfg["samplers"]:
@@ -353,7 +355,7 @@ def cmd_sample(cfg: dict, workers: int) -> int:
             save_labeled_set(out / name, labeled, space)
             print(f"wrote {out / name} ({labeled.n} rows, {labeled.positive_count} positive)")
     write_manifest(out, cfg, "sample", {
-        "oracle_calls": {f"{s}/{seed}": v for (s, seed), v in calls.items()},
+        "oracle_calls": {f"{s}/{seed}": ev.oracle_call_count(v) for (s, seed), v in sets.items()},
     })
     return 0
 

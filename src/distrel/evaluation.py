@@ -2,9 +2,9 @@
 
 The experiment crosses sampler x imbalance method x model kind over several
 seeds, scores every cell on one shared grid test set, and aggregates by
-arithmetic mean. Budget and threshold sweeps rerun the matrix along one axis;
-the threshold sweep relabels cached accuracies instead of re-querying the
-oracle.
+arithmetic mean. The sweeps sample each (sampler, seed) once, at the largest
+budget: a smaller budget scores the first rows of each set and a threshold
+relabels the cached accuracies, so no point of a sweep re-queries the oracle.
 
 ``workers`` sets how many run at once: the (sampler, seed) sampling runs in
 forked worker processes, because a GP run holds the interpreter lock, and the
@@ -288,30 +288,33 @@ def _check_thresholds(h_values) -> list:
     return h_values
 
 
-def run_sampler(sampler, oracle, space, h, cfg: SamplerConfig):
-    """One sampler run against a fresh caching wrapper of ``oracle``.
+def oracle_call_count(labeled: LabeledSet) -> int:
+    """The oracle calls that labelling ``labeled`` took: one per distinct level."""
+    return len({tuple(level) for level in labeled.levels.tolist()})
 
-    The random sampler reads only ``cfg.budget`` and ``cfg.seed``. Returns
-    the labeled set and the number of distinct levels sent to ``oracle``.
+
+def run_sampler(sampler, oracle, space, h, cfg: SamplerConfig) -> LabeledSet:
+    """One sampler run against a fresh caching wrapper of ``oracle``, so each
+    distinct level reaches ``oracle`` once.
+
+    The random sampler reads only ``cfg.budget`` and ``cfg.seed``.
     """
     wrapped = oracles_mod.caching_oracle(oracle)
     if sampler == "random":
-        labeled = run_random_sampling(wrapped, space, h, cfg.budget, cfg.seed)
-    else:
-        labeled = run_gp_sampling(wrapped, space, h, cfg)
-    return labeled, wrapped.inner_calls
+        return run_random_sampling(wrapped, space, h, cfg.budget, cfg.seed)
+    return run_gp_sampling(wrapped, space, h, cfg)
 
 
-def _sample_sets(oracle, space, h, samplers, seeds, cfg: SamplerConfig, workers=1):
-    """run_sampler for every (sampler, seed); returns (sets, oracle calls) by key.
+def _sample_sets(oracle, space, h, samplers, seeds, cfg: SamplerConfig, workers=1) -> dict:
+    """run_sampler for every (sampler, seed); returns the labeled sets by key.
 
     With ``workers`` > 1 and more than one run, the runs go to
     ``min(workers, runs)`` worker processes started with ``fork``, so they
-    inherit ``oracle`` and never pickle it; only each run's labeled set and
-    call count come back, in job order, and the first failed run's error is
-    raised here. What a run changes in the oracle's state, such as a caching
-    wrapper's counts, stays in its worker. Without ``fork`` the runs stay in
-    this process, one after another.
+    inherit ``oracle`` and never pickle it; only each run's labeled set comes
+    back, in job order, and the first failed run's error is raised here. What
+    a run changes in the oracle's state, such as a caching wrapper's counts,
+    stays in its worker. Without ``fork`` the runs stay in this process, one
+    after another.
     """
     keys = [(sampler, seed) for seed in seeds for sampler in samplers]
     jobs = [(sampler, replace(cfg, seed=seed)) for sampler, seed in keys]
@@ -339,9 +342,7 @@ def _sample_sets(oracle, space, h, samplers, seeds, cfg: SamplerConfig, workers=
                 pool.shutdown(cancel_futures=True)
         else:
             results = [run_sampler(sampler, oracle, space, h, c) for sampler, c in jobs]
-    train_sets = {key: labeled for key, (labeled, _) in zip(keys, results)}
-    oracle_calls = {key: calls for key, (_, calls) in zip(keys, results)}
-    return train_sets, oracle_calls
+    return dict(zip(keys, results))
 
 
 _worker_jobs = None  # (oracle, space, h, jobs), set in each forked worker
@@ -387,39 +388,45 @@ def _evaluate_cells(train_sets, grid, space, methods, kinds, workers=1):
     return [run_cell(j) for j in jobs]
 
 
-def _experiment(oracle, space, h_values, budget, options, grid, workers, config_at,
+def _experiment(oracle, space, budgets, h_values, options, grid, workers, config_at,
                 on_sampled=None) -> list:
-    """The one sample-then-score path; returns an (h, ExperimentReport) pair per threshold.
+    """The one sample-then-score path; returns a (budget, h, ExperimentReport) row per pair.
 
     Every argument is checked before the first oracle call. The grid (unless
     passed) and every (sampler, seed) set are labelled against
-    ``h_values[0]`` under one BLAS pin; ``on_sampled(train_sets)`` runs next.
-    Each threshold then relabels the stored accuracies and scores the
-    matrix; ``config_at(h)`` is its report's config.
+    ``h_values[0]`` under one BLAS pin, each set at the largest budget;
+    ``on_sampled(train_sets)`` runs next. Each (budget, h) pair, in order,
+    then relabels a view of each set's first ``budget`` rows and scores the
+    matrix; ``config_at(budget, h)`` is its report's config.
     """
+    if not budgets:
+        raise ValueError("need at least one budget")
     h_values = _check_thresholds(h_values)
-    sampler_cfg, opts = check_run_options(budget, options)
+    checked = [check_run_options(budget, options) for budget in budgets]
+    sampler_cfg, opts = max(checked, key=lambda c: c[0].budget)
     with single_threaded_blas():
         if grid is None:
             grid = build_grid_test_set(space, opts["points_per_dim"], oracle, h_values[0])
-        train_sets, oracle_calls = _sample_sets(
+        train_sets = _sample_sets(
             oracle, space, h_values[0], opts["samplers"], opts["seeds"], sampler_cfg, workers
         )
     if on_sampled is not None:
         on_sampled(train_sets)
     rows = []
-    for h in h_values:
-        sets_h = {k: v.relabeled(h) for k, v in train_sets.items()}
-        grid_h = grid.relabeled(h)
-        rows.append((h, ExperimentReport(
-            cells=_evaluate_cells(sets_h, grid_h, space, opts["methods"], opts["kinds"], workers),
-            positive_counts={k: v.positive_count for k, v in sets_h.items()},
-            oracle_calls=dict(oracle_calls),
-            grid_size=grid_h.n,
-            grid_positive_count=grid_h.positive_count,
-            seeds=tuple(opts["seeds"]),
-            config=config_at(h),
-        )))
+    for budget in budgets:
+        for h in h_values:
+            sets = {k: LabeledSet.from_accuracies(v.levels[:budget], v.accuracies[:budget], h)
+                    for k, v in train_sets.items()}
+            grid_h = grid.relabeled(h)
+            rows.append((budget, h, ExperimentReport(
+                cells=_evaluate_cells(sets, grid_h, space, opts["methods"], opts["kinds"], workers),
+                positive_counts={k: v.positive_count for k, v in sets.items()},
+                oracle_calls={k: oracle_call_count(v) for k, v in sets.items()},
+                grid_size=grid_h.n,
+                grid_positive_count=grid_h.positive_count,
+                seeds=tuple(opts["seeds"]),
+                config=config_at(budget, h),
+            )))
     return rows
 
 
@@ -432,30 +439,22 @@ def run_experiment(oracle, space: SearchSpace, h: float, *, budget: int, grid: L
     every cell, so test labels never depend on what is being evaluated.
     Cell failures are recorded in the report while the other cells proceed.
     """
-    [(_, report)] = _experiment(oracle, space, [h], budget, options, grid, workers,
-                                lambda _: config or {})
+    [(_, _, report)] = _experiment(oracle, space, [budget], [h], options, grid, workers,
+                                   lambda *_: config or {})
     return report
 
 
 def sweep_budget(oracle, space, h, budgets, *, grid: LabeledSet = None, config: dict = None,
                  workers: int = 1, **options) -> list:
-    """run_experiment per budget, reusing one shared grid; rows keyed by budget.
+    """The matrix at each budget; rows of (budget, ExperimentReport) in the order given.
 
-    Takes run_experiment's keywords except ``budget``. Every budget is
-    checked before the grid's first oracle call.
+    Takes run_experiment's keywords except ``budget``. Each (sampler, seed) is
+    sampled once, at the largest budget. The budget only ends a sampler's loop,
+    so each budget scores the first ``budget`` rows, as run_experiment would.
     """
-    if not budgets:
-        raise ValueError("need at least one budget")
-    [h] = _check_thresholds([h])
-    for budget in budgets:
-        _, opts = check_run_options(budget, options)
-    if grid is None:
-        grid = build_grid_test_set(space, opts["points_per_dim"], oracle, h)
-    return [
-        (int(budget), run_experiment(oracle, space, h, budget=budget, grid=grid, workers=workers,
-                                     config={**(config or {}), "budget": budget}, **options))
-        for budget in budgets
-    ]
+    rows = _experiment(oracle, space, budgets, [h], options, grid, workers,
+                       lambda budget, _: {**(config or {}), "budget": budget})
+    return [(int(budget), report) for budget, _, report in rows]
 
 
 def sweep_threshold(oracle, space, h_values, *, budget, grid: LabeledSet = None,
@@ -479,14 +478,14 @@ def sweep_threshold(oracle, space, h_values, *, budget, grid: LabeledSet = None,
             audited.record(labeled.levels, labeled.accuracies)
         after_sampling.append(audited.inner_calls)
 
-    rows = _experiment(audited, space, h_values, budget, options, grid, workers,
-                       lambda h: {**(config or {}), "h": h}, record)
+    rows = _experiment(audited, space, [budget], h_values, options, grid, workers,
+                       lambda _, h: {**(config or {}), "h": h}, record)
     audit = {
         "oracle_calls_after_sampling": after_sampling[0],
         "oracle_calls_after_sweep": audited.inner_calls,
         "extra_calls_during_sweep": audited.inner_calls - after_sampling[0],
     }
-    return rows, audit
+    return [(h, report) for _, h, report in rows], audit
 
 
 def _cell_rows(report) -> list:

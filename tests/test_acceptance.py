@@ -12,7 +12,7 @@ import pytest
 
 from distrel.cli import main as cli_main
 from distrel.distortion import apply_distortion, distortion_space, identity_level
-from distrel.evaluation import build_grid_test_set, run_experiment, sweep_threshold
+from distrel.evaluation import build_grid_test_set, sweep_budget, sweep_threshold
 from distrel.gp import KernelConfig, fit, median_heuristic_lengthscales, predict_batch
 from distrel.models import logistic_loss_and_grad
 from distrel.oracles import (
@@ -42,7 +42,8 @@ def benchmark_oracle():
 
 @pytest.fixture(scope="session")
 def benchmark_runs():
-    """Full experiment at budgets 100 and 600 on the standard benchmark.
+    """Full experiment at budgets 100 and 600 on the standard benchmark, from
+    one budget sweep.
 
     Shared by the ordering, imbalance-benefit and budget-sweep criteria.
     """
@@ -50,14 +51,10 @@ def benchmark_runs():
     space = distortion_space()
     grid = build_grid_test_set(space, 4, oracle, BENCHMARK_H)
     t0 = time.perf_counter()
-    reports = {}
-    for budget in (100, 600):
-        reports[budget] = run_experiment(
-            oracle, space, BENCHMARK_H,
-            budget=budget, init_count=20, delta=0.1,
-            samplers=("random", "gp"), methods=("none", "smote"),
-            kinds=KINDS, seeds=SEEDS, grid=grid,
-        )
+    reports = dict(sweep_budget(
+        oracle, space, BENCHMARK_H, [100, 600], grid=grid, init_count=20, delta=0.1,
+        samplers=("random", "gp"), methods=("none", "smote"), kinds=KINDS, seeds=SEEDS,
+    ))
     elapsed = time.perf_counter() - t0
     return reports, elapsed
 

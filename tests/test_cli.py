@@ -71,6 +71,16 @@ class TestValidation:
         assert rc == 1
         assert "init_count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budgets", [[20, 10], [20, 0], [20, 30.0], [20, True], "30"])
+    def test_bad_budgets_entry(self, tmp_path, capsys, monkeypatch, budgets):
+        monkeypatch.setattr(cli, "build_oracle", lambda cfg: pytest.fail("oracle built"))
+        path = write_config(tmp_path, budgets=budgets, init_count=10)
+        out = tmp_path / "o"
+        rc = main(["sweep-budget", "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        assert "'budgets'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["pipeline", "--config"]) == 1
         assert "expected one argument" in capsys.readouterr().err
@@ -363,9 +373,9 @@ def output_digests(out):
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("command", ["sample", "pipeline", "sweep-threshold"])
+    @pytest.mark.parametrize("command", ["sample", "pipeline", "sweep-budget", "sweep-threshold"])
     def test_outputs_identical_across_workers(self, tmp_path, command):
-        path = write_config(tmp_path, seeds=[0, 1], thresholds=[0.7, 0.9])
+        path = write_config(tmp_path, seeds=[0, 1], budgets=[40, 20], thresholds=[0.7, 0.9])
         digests = []
         for workers in ("1", "2"):
             out = tmp_path / f"w{workers}"

@@ -199,9 +199,9 @@ class TestRunExperiment:
         cfg = SamplerConfig(budget=kw["budget"], init_count=kw["init_count"],
                             acquisition_candidates=kw["acquisition_candidates"],
                             refine_steps=kw["refine_steps"])
-        sa, calls_a = _sample_sets(oracle, plane_space(), 0.85, kw["samplers"], kw["seeds"], cfg, 1)
-        sb, calls_b = _sample_sets(oracle, plane_space(), 0.85, kw["samplers"], kw["seeds"], cfg, 3)
-        assert list(sa) == list(sb) and calls_a == calls_b
+        sa = _sample_sets(oracle, plane_space(), 0.85, kw["samplers"], kw["seeds"], cfg, 1)
+        sb = _sample_sets(oracle, plane_space(), 0.85, kw["samplers"], kw["seeds"], cfg, 3)
+        assert list(sa) == list(sb)
         for key in sa:
             for name in ("levels", "accuracies", "labels"):
                 assert getattr(sa[key], name).tobytes() == getattr(sb[key], name).tobytes()
@@ -218,7 +218,7 @@ class TestRunExperiment:
             return bump(level) if all(get() == 1 for get, _ in controls) else 0.0
 
         cfg = SamplerConfig(budget=20, init_count=8, acquisition_candidates=64, refine_steps=4)
-        sets, _ = _sample_sets(oracle, plane_space(), 0.85, ("random", "gp"), (0, 1), cfg, workers)
+        sets = _sample_sets(oracle, plane_space(), 0.85, ("random", "gp"), (0, 1), cfg, workers)
         for labeled in sets.values():
             assert np.array_equal(labeled.accuracies, bump.evaluate_many(labeled.levels))
         # the grid too, labelled alone and inside a whole run
@@ -336,6 +336,34 @@ class TestSweeps:
             assert body(by_budget) == body(direct)
             assert all(body(report) == body(direct) for _, report in by_h)
             assert not direct.has_errors
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("budgets", [[60, 30, 60], [30, 60]])
+    def test_budget_sweep_samples_once_at_the_largest_budget(self, workers, budgets):
+        # each (sampler, seed) is sampled at the largest budget only, and each
+        # budget's report equals run_experiment's at that budget
+        bump = fat_oracle()
+        calls = []
+
+        def oracle(level):
+            calls.append(level)
+            return bump(level)
+
+        def body(report):
+            return {k: v for k, v in report.to_json_dict().items() if k not in ("config", "config_hash")}
+
+        kw = sweep_kwargs(kinds=("knn", "tree"), seeds=(0, 1))
+        rows = sweep_budget(oracle, plane_space(), 0.85, budgets, workers=workers, **kw)
+        if workers == 1:
+            # forked workers count in their own copies of ``calls``
+            assert len(calls) == 5**2 + 4 * 60
+        assert [b for b, _ in rows] == budgets
+        for budget, report in rows:
+            assert report.config == {"budget": budget}
+            assert report.oracle_calls == {k: budget for k in report.positive_counts}
+            direct = run_experiment(bump, plane_space(), 0.85, budget=budget, **kw)
+            assert body(report) == body(direct)
+        assert not rows[0][1].has_errors
 
     def test_threshold_sweep_no_extra_oracle_calls(self):
         base = fat_oracle()
