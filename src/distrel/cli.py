@@ -60,13 +60,13 @@ _DATASET_DEFAULTS = {
         "verification_limit": 200, "train_limit": 200,
     },
 }
-_CLASSIFIER_FIELDS = ("kind", "dataset", "classifier", "rain_seed")
-
-# spec fields each explicit synthetic oracle kind needs
-_SYNTHETIC_FIELDS = {
-    "box": ("lower", "upper"),
-    "ellipsoid": ("centers", "scales", "peaks"),
-    "multimodal": ("centers", "scales", "peaks"),
+# each oracle form's (required, optional) fields; any other field is an error
+_ORACLE_FIELDS = {
+    "preset": (("preset",), ()),
+    "box": (("kind", "lower", "upper"), ("inside_value", "outside_value")),
+    "ellipsoid": (("kind", "centers", "scales", "peaks"), ()),
+    "multimodal": (("kind", "centers", "scales", "peaks"), ()),
+    "classifier": (("kind", "dataset"), ("classifier", "rain_seed")),
 }
 
 
@@ -175,22 +175,21 @@ def _resolve_oracle_field(value):
     if not isinstance(value, dict):
         _fail("oracle", f"must be an object, got {value!r}")
     value = dict(value)
-    if "preset" in value:
-        name = value["preset"]
-        if not isinstance(name, str) or name not in presets.ORACLE_PRESETS:
-            _fail("oracle.preset", f"unknown preset {name!r}; "
-                  f"known: {sorted(presets.ORACLE_PRESETS)}")
-        return {"preset": name}
-    kind = value.get("kind")
-    if isinstance(kind, str) and kind in _SYNTHETIC_FIELDS:
-        for need in _SYNTHETIC_FIELDS[kind]:
-            if need not in value:
-                _fail(f"oracle.{need}", f"required for {kind} oracles")
-        return value
-    if kind == "classifier":
-        unknown = set(value) - set(_CLASSIFIER_FIELDS)
-        if unknown:
-            _fail("oracle", f"unknown classifier oracle fields: {sorted(unknown)}")
+    form = "preset" if "preset" in value else value.get("kind")
+    if not isinstance(form, str) or form not in _ORACLE_FIELDS:
+        _fail("oracle.kind", f"must be box, ellipsoid, multimodal or classifier, got {form!r}")
+    required, optional = _ORACLE_FIELDS[form]
+    unknown = set(value) - {*required, *optional}
+    if unknown:
+        _fail("oracle", f"unknown {form} oracle fields: {sorted(unknown)}")
+    for need in required:
+        if need not in value:
+            _fail(f"oracle.{need}", f"required for {form} oracles")
+    if form == "preset" and not (isinstance(value["preset"], str)
+                                 and value["preset"] in presets.ORACLE_PRESETS):
+        _fail("oracle.preset", f"unknown preset {value['preset']!r}; "
+              f"known: {sorted(presets.ORACLE_PRESETS)}")
+    if form == "classifier":
         _classifier_dataset(value)
         clf = value.get("classifier", "nearest-centroid")
         if clf not in ("nearest-centroid", "k-nn"):
@@ -199,8 +198,7 @@ def _resolve_oracle_field(value):
         value.setdefault("rain_seed", 0)
         if not _is_int(value["rain_seed"]) or value["rain_seed"] < 0:
             _fail("oracle.rain_seed", f"must be an unsigned integer, got {value['rain_seed']!r}")
-        return value
-    _fail("oracle.kind", f"must be box, ellipsoid, multimodal or classifier, got {kind!r}")
+    return value
 
 
 def _classifier_dataset(spec: dict) -> dict:

@@ -108,6 +108,8 @@ def f1_score(predictions, truth) -> Metrics:
 def build_grid_test_set(space: SearchSpace, points_per_dim: int, oracle, h: float) -> LabeledSet:
     """Label the full Cartesian lattice (points_per_dim^d points) with the oracle.
 
+    The answers come through ``oracles.evaluate_many``, so a failed or
+    out-of-range answer raises OracleError naming its level, as in sampling.
     BLAS stays on one thread meanwhile: an image classifier's small distance
     products run several times slower on two threads of a small shared host.
     """

@@ -2,12 +2,16 @@
 
 JSON: indent 2, sorted keys, a trailing newline. A level table is a CSV of one
 column per search-space dimension, then its own columns: floats as ``%.17g``,
-which reads back bit for bit, and ``BINARY_COLUMNS`` as 0 or 1. An unreadable
-input file raises ``InputFileError``, naming the file and any table line.
+which reads back bit for bit, and ``BINARY_COLUMNS`` as 0 or 1. Every number
+in a file is finite: writing NaN or an infinity raises ValueError, and an
+input file holding one (``nan``, ``inf``, ``NaN``, ``Infinity`` or a literal
+such as ``1e309`` that overflows) is refused. An unreadable input file raises
+``InputFileError``, naming the file and any table line.
 """
 
 import csv
 import json
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -23,17 +27,26 @@ def _unreadable(path, exc) -> InputFileError:
     return InputFileError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
 
 
+def _finite(text) -> float:
+    """``float(text)``, refusing NaN and the infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def write_json(path, doc) -> None:
+    # encoded in full first, so a non-finite number leaves no partial file
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+            doc = json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, or not finite
         raise _unreadable(path, exc) from None
     if not isinstance(doc, dict):
         raise InputFileError(f"{path}: top level must be a JSON object, got {type(doc).__name__}")
@@ -84,7 +97,7 @@ def read_levels(path, names, *layouts) -> tuple:
             if header[:d] != list(names) or tail not in layouts:
                 expected = " or ".join(str([*names, *t]) for t in layouts)
                 raise InputFileError(f"{path}: unexpected header {header}, expected {expected}")
-            parsers = [float] * d + [_binary if c in BINARY_COLUMNS else float for c in tail]
+            parsers = [_finite] * d + [_binary if c in BINARY_COLUMNS else _finite for c in tail]
             rows = []
             for row in filter(None, reader):
                 try:

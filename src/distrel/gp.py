@@ -106,7 +106,7 @@ def fit(points, values, cfg: KernelConfig) -> GpPosterior:
         raise ValueError(
             f"points have dimension {x.shape[1]}, kernel has {cfg.dim}"
         )
-    if np.any(y < 0.0) or np.any(y > 1.0):
+    if not np.all((y >= 0.0) & (y <= 1.0)):
         raise ValueError("target values must lie in [0, 1]")
     _check_duplicates(x)
 

@@ -7,6 +7,11 @@ volume, and a memoizing wrapper for budget audits. Also ships a tiny
 procedural image dataset plus reference classifiers so the full pipeline runs
 with no external data, and an IDX reader so an MNIST-style subsample can be
 dropped in.
+
+Every answer the samplers and the grid use comes through ``query`` (one
+level) or ``evaluate_many`` (a batch), which hold the oracle contract: an
+oracle that raises, or answers outside [0, 1] (NaN and infinities included),
+stops the caller with ``OracleError`` naming the level.
 """
 
 import gzip
@@ -21,23 +26,67 @@ from distrel.distortion import distort_set, distortion_space
 from distrel.space import SearchSpace
 
 
-def evaluate_accuracy(oracle, level) -> float:
-    """Evaluate an oracle at one level, validating bounds and output range."""
-    space = getattr(oracle, "space", None)
-    if space is not None:
-        level = space.validate_level(level)
-    value = float(oracle(level))
+class OracleError(RuntimeError):
+    """An accuracy oracle failed; carries the offending distortion level."""
+
+    def __init__(self, message, level=None):
+        super().__init__(message)
+        self.level = None if level is None else np.array(level, dtype=np.float64)
+
+    def __reduce__(self):
+        # keeps .level when a sampler run in a worker process sends it back
+        return type(self), (str(self), self.level)
+
+
+def _outside_unit(value, level) -> OracleError:
+    return OracleError(f"oracle returned {value} outside [0, 1] at {level}", level)
+
+
+def query(oracle, level) -> float:
+    """The oracle's accuracy at one level.
+
+    An oracle that raises, or answers outside [0, 1] (NaN included), raises
+    OracleError naming ``level``.
+    """
+    try:
+        value = float(oracle(level))
+    except Exception as exc:
+        raise OracleError(f"oracle failed at level {level}: {exc}", level) from exc
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"oracle returned {value} outside [0, 1]")
+        raise _outside_unit(value, level)
     return value
 
 
+def evaluate_accuracy(oracle, level) -> float:
+    """``query`` after checking ``level`` against the oracle's space, if it has one."""
+    space = getattr(oracle, "space", None)
+    if space is not None:
+        level = space.validate_level(level)
+    return query(oracle, level)
+
+
 def evaluate_many(oracle, levels) -> np.ndarray:
-    """Vectorized evaluation when the oracle supports it, else a loop."""
+    """The accuracy at each row of ``levels``, under ``query``'s contract.
+
+    An oracle with an ``evaluate_many`` method answers the batch in one call;
+    any other is queried level by level. When the batch call raises, the
+    levels are queried one by one to name the first that fails.
+    """
     levels = np.atleast_2d(np.asarray(levels, dtype=np.float64))
-    if hasattr(oracle, "evaluate_many"):
-        return np.asarray(oracle.evaluate_many(levels), dtype=np.float64)
-    return np.array([oracle(lv) for lv in levels], dtype=np.float64)
+    if not hasattr(oracle, "evaluate_many"):
+        return np.array([query(oracle, level) for level in levels], dtype=np.float64)
+    try:
+        values = np.asarray(oracle.evaluate_many(levels), dtype=np.float64)
+    except Exception as exc:
+        for level in levels:
+            query(oracle, level)
+        raise OracleError(f"oracle failed on a batch of {len(levels)} levels: {exc}") from exc
+    if values.shape != (len(levels),):
+        raise OracleError(f"oracle returned {values.shape} answers for {len(levels)} levels")
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+    if bad.size:
+        raise _outside_unit(float(values[bad[0]]), levels[bad[0]])
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +145,10 @@ class SyntheticOracleSpec:
                 raise ValueError("ellipsoid kind takes exactly one bump")
             if centers.shape != (k, d) or scales.shape != (k, d) or peaks.shape != (k,):
                 raise ValueError("centers/scales/peaks shapes are inconsistent")
-            if not np.all(scales > 0):
-                raise ValueError("scales must be > 0")
+            if not np.all(np.isfinite(centers)):
+                raise ValueError("centers must be finite")
+            if not np.all(np.isfinite(scales) & (scales > 0)):
+                raise ValueError("scales must be finite and > 0")
             if not np.all((peaks > 0) & (peaks <= 1.0)):
                 raise ValueError("peaks must lie in (0, 1]")
         else:

@@ -56,8 +56,8 @@ class RebalancedSet:
         for name in ("labels", "weights", "is_synthetic", "parent_index"):
             if getattr(self, name).shape[0] != n:
                 raise ValueError(f"{name} length does not match levels")
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be positive")
+        if not np.all(np.isfinite(self.weights) & (self.weights > 0)):
+            raise ValueError("weights must be positive and finite")
 
     @property
     def n(self) -> int:

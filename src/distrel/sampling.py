@@ -12,6 +12,11 @@ are the majority. By default the direction follows the labels observed so far
 and is re-decided at every step, with the tie rule the rebalancers use (equal
 counts make the reliable class the minority). beta grows with the iteration
 count to keep exploring.
+
+Both samplers ask the oracle only through ``distrel.oracles``: the random
+sampler and the GP's initial draws as one ``evaluate_many`` batch, each GP
+step as one ``query``. So an oracle that fails or answers outside [0, 1]
+stops a run with ``OracleError`` (importable from here too) naming the level.
 """
 
 import math
@@ -22,23 +27,13 @@ import numpy as np
 
 from distrel import files
 from distrel import gp as gpmod
+from distrel import oracles
 from distrel._kernels import single_threaded_blas
+from distrel.oracles import OracleError  # noqa: F401  (re-exported)
 from distrel.space import SearchSpace
 
 DUPLICATE_SUGGESTION_TOL = 1e-9
 REFINE_INITIAL_STEP = 0.05  # fraction of each dimension's range
-
-
-class OracleError(RuntimeError):
-    """An accuracy oracle failed; carries the offending distortion level."""
-
-    def __init__(self, message, level=None):
-        super().__init__(message)
-        self.level = None if level is None else np.asarray(level, dtype=np.float64)
-
-    def __reduce__(self):
-        # keeps .level when a sampler run in a worker process sends it back
-        return type(self), (str(self), self.level)
 
 
 @dataclass(frozen=True)
@@ -67,7 +62,7 @@ class LabeledSet:
             raise ValueError("levels, accuracies and labels must have equal length")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
-        if acc.size and (acc.min() < 0.0 or acc.max() > 1.0):
+        if not np.all((acc >= 0.0) & (acc <= 1.0)):
             raise ValueError("accuracies must lie in [0, 1]")
         expected = (acc >= self.threshold).astype(np.int64)
         if not np.array_equal(lab, expected):
@@ -293,16 +288,6 @@ class _PairwiseDiffTracker:
         return np.maximum(med, gpmod.LENGTHSCALE_FLOOR)
 
 
-def _call_oracle(oracle, level) -> float:
-    try:
-        value = float(oracle(level))
-    except Exception as exc:
-        raise OracleError(f"oracle failed at level {level}: {exc}", level) from exc
-    if not 0.0 <= value <= 1.0:
-        raise OracleError(f"oracle returned {value} outside [0, 1] at {level}", level)
-    return value
-
-
 def run_random_sampling(oracle, space: SearchSpace, h: float, budget: int, seed: int) -> LabeledSet:
     """Label ``budget`` i.i.d. uniform levels; deterministic per seed."""
     if budget < 0:
@@ -311,8 +296,7 @@ def run_random_sampling(oracle, space: SearchSpace, h: float, budget: int, seed:
         raise ValueError(f"threshold must be in [0, 1], got {h}")
     rng = np.random.default_rng(seed)
     levels = space.sample_uniform(rng, budget)
-    accs = np.array([_call_oracle(oracle, lv) for lv in levels], dtype=np.float64)
-    return LabeledSet.from_accuracies(levels, accs, h)
+    return LabeledSet.from_accuracies(levels, oracles.evaluate_many(oracle, levels), h)
 
 
 def run_gp_sampling(oracle, space: SearchSpace, h: float, cfg: SamplerConfig) -> LabeledSet:
@@ -330,15 +314,17 @@ def run_gp_sampling(oracle, space: SearchSpace, h: float, cfg: SamplerConfig) ->
     rng = np.random.default_rng(cfg.seed)
 
     z = np.empty((cfg.budget, d))
+    levels = np.empty((cfg.budget, d))
+    accs = np.empty(cfg.budget)
     z[: cfg.init_count] = rng.random((cfg.init_count, d))
-    levels = [space.denormalize(zi) for zi in z[: cfg.init_count]]
-    accs = [_call_oracle(oracle, lv) for lv in levels]
+    levels[: cfg.init_count] = space.denormalize(z[: cfg.init_count])
+    accs[: cfg.init_count] = oracles.evaluate_many(oracle, levels[: cfg.init_count])
     tracker = _PairwiseDiffTracker(z[: cfg.init_count], cfg.budget)
 
     t = cfg.init_count
     with single_threaded_blas():
         while t < cfg.budget:
-            acc_arr = np.asarray(accs, dtype=np.float64)
+            acc_arr = accs[:t]
             if t >= 2:
                 lengthscales = tracker.lengthscales()
                 signal_variance = max(float(np.var(acc_arr, ddof=1)), 1e-4)
@@ -348,15 +334,13 @@ def run_gp_sampling(oracle, space: SearchSpace, h: float, cfg: SamplerConfig) ->
             kcfg = gpmod.KernelConfig(lengthscales, signal_variance, jitter=1e-10)
             posterior = gpmod.fit(z[:t], acc_arr, kcfg)
             beta = beta_coefficient(t, d, cfg.delta)
-            raw = suggest_next(posterior, space, h, beta, cfg, rng)
-            acc = _call_oracle(oracle, raw)
-            z[t] = space.normalize(raw)
+            levels[t] = suggest_next(posterior, space, h, beta, cfg, rng)
+            accs[t] = oracles.query(oracle, levels[t])
+            z[t] = space.normalize(levels[t])
             tracker.add(z[t])
-            levels.append(np.asarray(raw, dtype=np.float64))
-            accs.append(acc)
             t += 1
 
-    return LabeledSet.from_accuracies(np.vstack(levels), np.asarray(accs), h)
+    return LabeledSet.from_accuracies(levels, accs, h)
 
 
 # the CSV of a labeled set: one column per dimension, then these

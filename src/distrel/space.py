@@ -11,7 +11,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Ordered list of named dimensions with inclusive [lower, upper] bounds."""
+    """Ordered list of named dimensions with finite, inclusive [lower, upper] bounds."""
 
     names: tuple
     lowers: np.ndarray
@@ -27,6 +27,10 @@ class SearchSpace:
             raise ValueError(f"dimension names must be unique, got {self.names}")
         if self.lowers.shape != (len(self.names),) or self.uppers.shape != (len(self.names),):
             raise ValueError("bounds must have one entry per dimension")
+        finite = np.isfinite(self.lowers) & np.isfinite(self.uppers)
+        if not np.all(finite):
+            bad = [self.names[i] for i in np.flatnonzero(~finite)]
+            raise ValueError(f"bounds must be finite for {bad}")
         if not np.all(self.lowers < self.uppers):
             bad = [self.names[i] for i in np.flatnonzero(~(self.lowers < self.uppers))]
             raise ValueError(f"lower bound must be < upper bound for {bad}")

@@ -151,6 +151,14 @@ CONFIG_PROBES = {
     },
     "classifier-unknown-field": {"oracle": classifier_oracle(extra={"colour": "red"})},
     "classifier-dataset-unknown-field": {"oracle": classifier_oracle(sise=16)},
+    "preset-unknown-field": {"oracle": {"preset": "benchmark", "positive_fraction": 0.2}},
+    "preset-with-kind": {"oracle": {"preset": "benchmark", "kind": "classifier"}},
+    "box-unknown-field": {"oracle": {**BASE_CONFIG["oracle"], "peaks": [0.9]}},
+    "ellipsoid-unknown-fields": {"oracle": {
+        "kind": "ellipsoid", "centers": [[1.0, 45.0, 0.0, 0.0, 1.0, 0.5]],
+        "scales": [[0.2, 30.0, 0.1, 0.1, 0.2, 0.3]], "peaks": [0.95],
+        "inside_value": 0.99, "colour": "red",
+    }},
 }
 
 
@@ -210,6 +218,7 @@ def test_fuzzed_config_is_rejected_or_builds(oracle, oracle_over, top_over):
 class TestConfigFile:
     @pytest.mark.parametrize("fault", [
         "directory", "missing", "unreadable", "not-utf8", "invalid-json", "non-object",
+        "nan-value", "overflowing-bound",
     ])
     def test_unreadable_config_exits_1(self, tmp_path, capsys, fault):
         path = tmp_path / "config.json"
@@ -220,6 +229,17 @@ class TestConfigFile:
             path.chmod(0)
             if os.access(path, os.R_OK):
                 pytest.skip("file permissions do not bind this user")
+        elif fault == "nan-value":
+            # json.dumps writes the NaN constant
+            path.write_text(json.dumps({**BASE_CONFIG, "oracle": {
+                "kind": "ellipsoid", "centers": [[1.0, 45.0, 0.0, 0.0, 1.0, float("nan")]],
+                "scales": [[0.2, 30.0, 0.1, 0.1, 0.2, 0.3]], "peaks": [0.95]}}))
+        elif fault == "overflowing-bound":
+            # -1e309 parses to -inf
+            path.write_text(json.dumps({
+                **BASE_CONFIG, "space": {"dims": [{"name": "x", "lower": -1.0, "upper": 1.0}]},
+                "oracle": {"kind": "box", "lower": [-0.5], "upper": [0.5]},
+            }).replace("-1.0", "-1e309"))
         elif fault != "missing":
             path.write_bytes({"not-utf8": b'{"h": "\xff"}', "invalid-json": b'{"h": 0.85,',
                               "non-object": b"[1, 2]"}[fault])
@@ -513,6 +533,13 @@ def write_training_csv(path, fault):
         # BASE_CONFIG's h is 0.85
         "label-not-h": f"{names},accuracy,label\r\n{level},0.5,1\r\n",
         "unknown-header": f"{names},accuracy,label,extra\r\n{level},0.9,1,0\r\n",
+        "nan-level": f"{names},accuracy,label\r\n1,nan,0,0,1,0.5,0.9,1\r\n",
+        "inf-level": f"{names},label,weight,is_synthetic\r\n1,45,-inf,0,1,0.5,1,1,0\r\n",
+        "nan-accuracy": f"{names},accuracy,label\r\n{level},0.9,1\r\n{level},NaN,0\r\n",
+        "inf-accuracy": f"{names},accuracy,label\r\n{level},inf,1\r\n",
+        "nan-weight": f"{names},label,weight,is_synthetic\r\n{level},1,nan,0\r\n",
+        "inf-weight": f"{names},label,weight,is_synthetic\r\n{level},1,1,0\r\n"
+                      f"{level},0,Infinity,0\r\n",
     }[fault]
     path.write_text(text, newline="")
     return path
@@ -526,6 +553,12 @@ class TestMalformedInputFiles:
         ("unknown-header", "unexpected header"),
         ("zero-weight", "invalid content: weights must be positive"),
         ("label-not-h", "invalid content: label invariant violated at row 0"),
+        ("nan-level", "line 2: expected a finite number, got 'nan'"),
+        ("inf-level", "line 2: expected a finite number, got '-inf'"),
+        ("nan-accuracy", "line 3: expected a finite number, got 'NaN'"),
+        ("inf-accuracy", "line 2: expected a finite number, got 'inf'"),
+        ("nan-weight", "line 2: expected a finite number, got 'nan'"),
+        ("inf-weight", "line 3: expected a finite number, got 'Infinity'"),
     ])
     def test_bad_training_csv_exits_1(self, tmp_path, capsys, fault, where):
         data = write_training_csv(tmp_path / "data.csv", fault)

@@ -141,6 +141,11 @@ class TestFit:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             fit([[0.0, 0.0]], [1.5], cfg)
 
+    def test_rejects_nan_target(self):
+        cfg = KernelConfig(np.ones(2), 1.0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            fit([[0.0, 0.0], [1.0, 1.0]], [0.5, np.nan], cfg)
+
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         x = rng.random((8, 3))

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distrel import _kernels
+from distrel import _kernels, sampling
 from distrel.distortion import DISTORTION_DIMS, apply_distortion, distortion_space, identity_level
+from distrel.evaluation import build_grid_test_set
 from distrel.oracles import (
     CachingOracle,
     KnnImageClassifier,
+    OracleError,
     SyntheticOracleSpec,
     VerificationSet,
     _unit_ball_volume,
@@ -25,6 +27,7 @@ from distrel.oracles import (
     train_reference_classifier,
 )
 from distrel.presets import benchmark_oracle_spec, box_oracle_spec, multimodal_oracle_spec
+from distrel.sampling import SamplerConfig, run_gp_sampling, run_random_sampling
 
 
 def small_space():
@@ -122,6 +125,14 @@ class TestSyntheticOracles:
                 box_lower=np.array([0.2, 0.2]), box_upper=np.array([0.8, 0.8]),
                 inside_value=0.4, outside_value=0.5,
             )
+
+    @pytest.mark.parametrize("field, value", [
+        ("centers", [[np.nan, 0.5]]), ("centers", [[0.5, np.inf]]), ("scales", [[0.1, np.inf]]),
+    ])
+    def test_non_finite_bump_rejected(self, field, value):
+        bump = {"centers": [[0.5, 0.5]], "scales": [[0.1, 0.1]], "peaks": [0.9], field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SyntheticOracleSpec(kind="ellipsoid", space=small_space(), **bump)
 
 
 class TestBlobsAndClassifiers:
@@ -354,3 +365,77 @@ class TestIdx:
         ipath, lpath = self._write_idx(tmp_path, images, labels)
         vs = load_idx_verification_set(ipath, lpath, limit=4)
         assert vs.n == 4
+
+
+class _FaultyOracle:
+    """Answers as ``inner`` does, except at ``bad_level``: there it raises when
+    ``bad`` is "raise" and answers ``bad`` otherwise."""
+
+    def __init__(self, inner, bad_level, bad):
+        self.inner = inner
+        self.bad_level = bad_level
+        self.bad = bad
+        self.space = inner.space
+
+    def _answers(self, levels, values):
+        hit = np.all(np.atleast_2d(levels) == self.bad_level, axis=1)
+        if not hit.any():
+            return np.atleast_1d(values)
+        if self.bad == "raise":
+            raise RuntimeError("sensor offline")
+        return np.where(hit, self.bad, values)
+
+    def __call__(self, level):
+        return float(self._answers(level, self.inner(level))[0])
+
+
+class _FaultyBatchOracle(_FaultyOracle):
+    """The same answers, also given for a whole batch in one call."""
+
+    def evaluate_many(self, levels):
+        return self._answers(levels, self.inner.evaluate_many(levels))
+
+
+BOUNDARY_SPACE = small_space()
+BOUNDARY_BUMP = make_synthetic_oracle(ellipsoid_spec(BOUNDARY_SPACE, 0.25))
+BOUNDARY_RUNS = {
+    "random": lambda oracle: run_random_sampling(oracle, BOUNDARY_SPACE, 0.85, 12, 3),
+    "gp": lambda oracle: run_gp_sampling(oracle, BOUNDARY_SPACE, 0.85, SamplerConfig(
+        budget=12, init_count=4, acquisition_candidates=64, refine_steps=4, seed=3)),
+    "grid": lambda oracle: build_grid_test_set(BOUNDARY_SPACE, 4, oracle, 0.85),
+}
+
+
+class TestOracleBoundary:
+    """Every oracle answer the samplers and the grid use passes one check."""
+
+    @pytest.mark.parametrize("faulty", [_FaultyOracle, _FaultyBatchOracle],
+                             ids=["per-level", "vectorized"])
+    @settings(max_examples=100, deadline=None)
+    @given(run=st.sampled_from(sorted(BOUNDARY_RUNS)), position=st.integers(0, 11),
+           bad=st.sampled_from(["raise", np.nan, np.inf, -np.inf, -1e-9, 1.5]))
+    def test_bad_answer_stops_the_run_naming_its_level(self, faulty, run, position, bad):
+        # a run's levels are deterministic and listed in the order queried
+        level = BOUNDARY_RUNS[run](BOUNDARY_BUMP).levels[position]
+        with pytest.raises(OracleError) as err:
+            BOUNDARY_RUNS[run](faulty(BOUNDARY_BUMP, level, bad))
+        assert np.array_equal(err.value.level, level)
+
+    def test_batch_of_the_wrong_length_is_refused(self):
+        class Short:
+            def __call__(self, level):
+                return 0.5
+
+            def evaluate_many(self, levels):
+                return np.full(len(levels) - 1, 0.5)
+
+        with pytest.raises(OracleError, match="answers for 16 levels"):
+            build_grid_test_set(BOUNDARY_SPACE, 4, Short(), 0.85)
+
+    def test_evaluate_accuracy_refuses_nan(self):
+        oracle = _FaultyOracle(BOUNDARY_BUMP, np.array([0.5, 0.5]), np.nan)
+        with pytest.raises(OracleError, match="nan outside"):
+            evaluate_accuracy(oracle, [0.5, 0.5])
+
+    def test_sampling_reexports_oracle_error(self):
+        assert sampling.OracleError is OracleError

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from distrel.rebalance import (
     METHODS,
+    RebalancedSet,
     cost_sensitive_weights,
     near_miss,
     random_over,
@@ -270,6 +271,12 @@ class TestDispatcherAndInvariants:
         real_labels = out.labels[~out.is_synthetic]
         for row, lab in zip(real_rows, real_labels):
             assert tuple(row) + (int(lab),) in original
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_weights_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
+            RebalancedSet(levels=np.zeros((2, 2)), labels=[0, 1], weights=[1.0, bad],
+                          is_synthetic=[False, False], parent_index=[-1, -1])
 
     def test_unknown_method_rejected(self):
         ls = random_labeled(10, 2, 0.3, seed=15)

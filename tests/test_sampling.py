@@ -345,6 +345,10 @@ class TestLabeledSet:
                 threshold=0.5,
             )
 
+    def test_nan_accuracy_rejected(self):
+        with pytest.raises(ValueError, match=r"accuracies must lie in \[0, 1\]"):
+            LabeledSet(np.zeros((2, 1)), np.array([0.9, np.nan]), np.array([1, 0]), 0.5)
+
     def test_relabel_monotone(self):
         levels = np.zeros((5, 1))
         accs = np.array([0.1, 0.3, 0.5, 0.7, 0.9])

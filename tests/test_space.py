@@ -17,6 +17,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="lower bound"):
             SearchSpace(("x",), np.array([1.0]), np.array([0.0]))
 
+    @pytest.mark.parametrize("lower, upper", [
+        (np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0), (0.0, np.inf),
+    ])
+    def test_rejects_non_finite_bounds(self, lower, upper):
+        with pytest.raises(ValueError, match=r"bounds must be finite for \['y'\]"):
+            SearchSpace(("x", "y"), np.array([0.0, lower]), np.array([1.0, upper]))
+
     def test_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="unique"):
             SearchSpace(("x", "x"), np.array([0.0, 0.0]), np.array([1.0, 1.0]))
