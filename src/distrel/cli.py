@@ -6,9 +6,9 @@ writes a manifest (resolved config + hash + oracle call counts) next to its
 outputs so a run can be reproduced exactly.
 
 ``--workers N`` (N >= 1; on ``sample``, ``pipeline`` and the sweeps) runs up
-to N (sampler, seed) sampling runs at once in forked worker processes, and
-N cells at once on threads; every output byte is the same for any N. An
-error raised in a worker is reported as it would be without workers.
+to N (sampler, seed) sampling runs, and then up to N cells, at once in forked
+worker processes; every output byte is the same for any N. An error raised
+in a worker is reported as it would be without workers.
 
 Exit codes: 0 success, 1 validation error or an input file that cannot be
 read or parsed, 2 partial cell failure, 3 runtime failure.
@@ -529,9 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
     def with_workers(p):
         common(p)
         p.add_argument("--workers", type=int, default=1,
-                       help="runs at once, at least 1 (default 1): forked worker "
-                            "processes for the (sampler, seed) runs, threads for the "
-                            "cells; results do not depend on it")
+                       help="forked worker processes, at least 1 (default 1), for the "
+                            "(sampler, seed) runs and then the cells; results do not "
+                            "depend on it")
 
     with_workers(sub.add_parser("sample", help="run the samplers, write training sets"))
     p = sub.add_parser("rebalance", help="rebalance a sampled training set")

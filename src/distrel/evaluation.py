@@ -6,17 +6,17 @@ arithmetic mean. The sweeps sample each (sampler, seed) once, at the largest
 budget: a smaller budget scores the first rows of each set and a threshold
 relabels the cached accuracies, so no point of a sweep re-queries the oracle.
 
-``workers`` sets how many run at once: the (sampler, seed) sampling runs in
-forked worker processes, because a GP run holds the interpreter lock, and the
-cells on threads. Every run and cell is seeded, so results do not depend on
-it.
+``workers`` sets how many run at once: the (sampler, seed) sampling runs, and
+then the cells, go to forked worker processes through one map, ``_map``,
+because a GP run and a cell's training both hold the interpreter lock. Every
+run and cell is seeded and runs with BLAS on one thread, so results do not
+depend on it.
 """
 
 import hashlib
 import json
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -296,73 +296,68 @@ def oracle_call_count(labeled: LabeledSet) -> int:
 
 
 def run_sampler(sampler, oracle, space, h, cfg: SamplerConfig) -> LabeledSet:
-    """One sampler run against a fresh caching wrapper of ``oracle``, so each
-    distinct level reaches ``oracle`` once.
-
-    The random sampler reads only ``cfg.budget`` and ``cfg.seed``.
-    """
-    wrapped = oracles_mod.caching_oracle(oracle)
+    """One sampler run; the random sampler reads only ``cfg.budget`` and ``cfg.seed``."""
     if sampler == "random":
-        return run_random_sampling(wrapped, space, h, cfg.budget, cfg.seed)
-    return run_gp_sampling(wrapped, space, h, cfg)
+        return run_random_sampling(oracle, space, h, cfg.budget, cfg.seed)
+    return run_gp_sampling(oracle, space, h, cfg)
+
+
+_forked = None  # (fn, jobs) of a _map, set in each of its forked workers
+
+
+def _inherit(forked):
+    global _forked
+    _forked = forked
+
+
+def _forked_job(index):
+    fn, jobs = _forked
+    return fn(jobs[index])
+
+
+def _map(fn, jobs, workers=1) -> list:
+    """``[fn(job) for job in jobs]``, with BLAS on one thread for every job.
+
+    With ``workers`` > 1 and more than one job, the jobs go to
+    ``min(workers, len(jobs))`` worker processes started with ``fork``, so they
+    inherit ``fn`` and the jobs and never pickle them; only each result comes
+    back, in job order, and the first failed job's error is raised here. What
+    a job changes in the state it inherited, such as an oracle's call counts,
+    stays in its worker. Without ``fork`` the jobs run here, one after another.
+    The pin makes a job compute the same with or without workers, keeps
+    workers from crowding each other's cores, and is inherited by the workers
+    instead of restarting OpenBLAS's thread pool there, whose new threads spin.
+    """
+    processes = min(workers, len(jobs))
+    with single_threaded_blas():
+        if processes < 2 or not hasattr(os, "fork"):
+            return [fn(job) for job in jobs]
+        # imported here: the pool's modules add milliseconds to every start-up
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork copies the initializer's arguments into each worker instead of
+        # pickling them. fork is unsafe while other threads run: the program
+        # starts none, and the pool forks every worker before its own threads.
+        pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_inherit, initargs=((fn, jobs),))
+        try:
+            return list(pool.map(_forked_job, range(len(jobs))))
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def _sample_sets(oracle, space, h, samplers, seeds, cfg: SamplerConfig, workers=1) -> dict:
-    """run_sampler for every (sampler, seed); returns the labeled sets by key.
-
-    With ``workers`` > 1 and more than one run, the runs go to
-    ``min(workers, runs)`` worker processes started with ``fork``, so they
-    inherit ``oracle`` and never pickle it; only each run's labeled set comes
-    back, in job order, and the first failed run's error is raised here. What
-    a run changes in the oracle's state, such as a caching wrapper's counts,
-    stays in its worker. Without ``fork`` the runs stay in this process, one
-    after another.
-    """
+    """run_sampler for every (sampler, seed) through _map; returns the labeled sets by key."""
     keys = [(sampler, seed) for seed in seeds for sampler in samplers]
-    jobs = [(sampler, replace(cfg, seed=seed)) for sampler, seed in keys]
-    processes = min(workers, len(jobs))
-    # Every run keeps BLAS on one thread, on top of the GP loop's own pin: so
-    # a run computes the same with or without workers, worker processes do
-    # not crowd each other's cores, and forked workers inherit the pin
-    # instead of restarting OpenBLAS's thread pool, whose new threads spin.
-    with single_threaded_blas():
-        if processes > 1 and hasattr(os, "fork"):
-            # imported here: the pool's modules add milliseconds to every start-up
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # fork copies the initializer's arguments into each worker instead
-            # of pickling them. The runs start before the cell threads and after
-            # the last cell pool has been joined: fork is unsafe while threads run.
-            pool = ProcessPoolExecutor(
-                processes, mp_context=multiprocessing.get_context("fork"),
-                initializer=_set_worker_jobs, initargs=((oracle, space, h, jobs),),
-            )
-            try:
-                results = list(pool.map(_run_job, range(len(jobs))))
-            finally:
-                pool.shutdown(cancel_futures=True)
-        else:
-            results = [run_sampler(sampler, oracle, space, h, c) for sampler, c in jobs]
-    return dict(zip(keys, results))
-
-
-_worker_jobs = None  # (oracle, space, h, jobs), set in each forked worker
-
-
-def _set_worker_jobs(jobs):
-    global _worker_jobs
-    _worker_jobs = jobs
-
-
-def _run_job(index):
-    oracle, space, h, jobs = _worker_jobs
-    sampler, cfg = jobs[index]
-    return run_sampler(sampler, oracle, space, h, cfg)
+    sets = _map(lambda key: run_sampler(key[0], oracle, space, h, replace(cfg, seed=key[1])),
+                keys, workers)
+    return dict(zip(keys, sets))
 
 
 def _evaluate_cells(train_sets, grid, space, methods, kinds, workers=1):
-    """Rebalance/train/score each cell; failures are recorded, not raised."""
+    """Rebalance each set once per method, then train and score every cell
+    through _map; failures are recorded, not raised."""
     jobs = []
     for (sampler, seed), labeled in sorted(train_sets.items()):
         for method in methods:
@@ -384,10 +379,7 @@ def _evaluate_cells(train_sets, grid, space, methods, kinds, workers=1):
         except Exception as exc:
             return CellResult(sampler, method, kind, seed, error=str(exc))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_cell, jobs))
-    return [run_cell(j) for j in jobs]
+    return _map(run_cell, jobs, workers)
 
 
 def _experiment(oracle, space, budgets, h_values, options, grid, workers, config_at,
@@ -396,39 +388,41 @@ def _experiment(oracle, space, budgets, h_values, options, grid, workers, config
 
     Every argument is checked before the first oracle call. The grid (unless
     passed) and every (sampler, seed) set are labelled against
-    ``h_values[0]`` under one BLAS pin, each set at the largest budget;
-    ``on_sampled(train_sets)`` runs next. Each (budget, h) pair, in order,
-    then relabels a view of each set's first ``budget`` rows and scores the
-    matrix; ``config_at(budget, h)`` is its report's config.
+    ``h_values[0]``, each set at the largest budget; ``on_sampled(train_sets)``
+    runs next. Each (budget, h) pair, in order, then relabels a view of each
+    set's first ``budget`` rows and scores the matrix; ``config_at(budget, h)``
+    is its report's config. All of it runs under one BLAS pin, so the pin is
+    not undone and redone between the phases.
     """
     if not budgets:
         raise ValueError("need at least one budget")
     h_values = _check_thresholds(h_values)
     checked = [check_run_options(budget, options) for budget in budgets]
     sampler_cfg, opts = max(checked, key=lambda c: c[0].budget)
+    rows = []
     with single_threaded_blas():
         if grid is None:
             grid = build_grid_test_set(space, opts["points_per_dim"], oracle, h_values[0])
         train_sets = _sample_sets(
             oracle, space, h_values[0], opts["samplers"], opts["seeds"], sampler_cfg, workers
         )
-    if on_sampled is not None:
-        on_sampled(train_sets)
-    rows = []
-    for budget in budgets:
-        for h in h_values:
-            sets = {k: LabeledSet.from_accuracies(v.levels[:budget], v.accuracies[:budget], h)
-                    for k, v in train_sets.items()}
-            grid_h = grid.relabeled(h)
-            rows.append((budget, h, ExperimentReport(
-                cells=_evaluate_cells(sets, grid_h, space, opts["methods"], opts["kinds"], workers),
-                positive_counts={k: v.positive_count for k, v in sets.items()},
-                oracle_calls={k: oracle_call_count(v) for k, v in sets.items()},
-                grid_size=grid_h.n,
-                grid_positive_count=grid_h.positive_count,
-                seeds=tuple(opts["seeds"]),
-                config=config_at(budget, h),
-            )))
+        if on_sampled is not None:
+            on_sampled(train_sets)
+        for budget in budgets:
+            for h in h_values:
+                sets = {k: LabeledSet.from_accuracies(v.levels[:budget], v.accuracies[:budget], h)
+                        for k, v in train_sets.items()}
+                grid_h = grid.relabeled(h)
+                rows.append((budget, h, ExperimentReport(
+                    cells=_evaluate_cells(sets, grid_h, space, opts["methods"], opts["kinds"],
+                                          workers),
+                    positive_counts={k: v.positive_count for k, v in sets.items()},
+                    oracle_calls={k: oracle_call_count(v) for k, v in sets.items()},
+                    grid_size=grid_h.n,
+                    grid_positive_count=grid_h.positive_count,
+                    seeds=tuple(opts["seeds"]),
+                    config=config_at(budget, h),
+                )))
     return rows
 
 

@@ -157,15 +157,6 @@ def minority_direction(accuracies, h: float) -> str:
     return "above" if minority_label(labels) == 1 else "below"
 
 
-def label_accuracy(accuracy: float, h: float) -> int:
-    """1 when accuracy >= h (ties at equality count as reliable), else 0."""
-    if not 0.0 <= accuracy <= 1.0:
-        raise ValueError(f"accuracy must be in [0, 1], got {accuracy}")
-    if not 0.0 <= h <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {h}")
-    return int(accuracy >= h)
-
-
 def beta_coefficient(t: int, d: int, delta: float) -> float:
     """Exploration coefficient 2 * [ln(d * t * pi^2) - ln(6 * delta)].
 

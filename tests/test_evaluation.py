@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from distrel import evaluation
 from distrel._kernels import openblas_thread_controls
 from distrel.distortion import distortion_space
 from distrel.evaluation import (
@@ -207,15 +209,27 @@ class TestRunExperiment:
                 assert getattr(sa[key], name).tobytes() == getattr(sb[key], name).tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_every_run_keeps_blas_on_one_thread(self, workers):
+    def test_every_run_keeps_blas_on_one_thread(self, workers, monkeypatch):
         controls = openblas_thread_controls()
         if not controls:
             pytest.skip("no OpenBLAS thread-control symbol loaded in this process")
         bump = fat_oracle()
 
+        def pinned():
+            return all(get() == 1 for get, _ in controls)
+
         def oracle(level):
             # the answer carries the thread counts back from worker processes
-            return bump(level) if all(get() == 1 for get, _ in controls) else 0.0
+            return bump(level) if pinned() else 0.0
+
+        real_f1_score = evaluation.f1_score
+
+        def probed_f1_score(predictions, truth):
+            # so does each cell's score, after its model was trained and run
+            metrics = real_f1_score(predictions, truth)
+            return metrics if pinned() else replace(metrics, f1=-1.0)
+
+        monkeypatch.setattr(evaluation, "f1_score", probed_f1_score)
 
         cfg = SamplerConfig(budget=20, init_count=8, acquisition_candidates=64, refine_steps=4)
         sets = _sample_sets(oracle, plane_space(), 0.85, ("random", "gp"), (0, 1), cfg, workers)
@@ -227,6 +241,8 @@ class TestRunExperiment:
         report = run_experiment(oracle, plane_space(), 0.85, workers=workers, **fast_kwargs(
             budget=20, init_count=8, methods=("none",), seeds=(0, 1)))
         assert report.grid_positive_count == grid.positive_count > 0
+        assert len(report.cells) == 4
+        assert all(c.error is None and c.metrics.f1 >= 0.0 for c in report.cells)
 
     def test_unpicklable_oracle_runs_on_workers(self):
         # a lambda cannot be pickled: the worker processes must inherit it
@@ -380,10 +396,12 @@ class TestSweeps:
         assert audit["oracle_calls_after_sweep"] == 50 + 5**2
 
     def test_threshold_sweep_same_with_workers(self):
+        # at h = 0.995, above the bump's peak, every training set has a single
+        # class, so every cell fails and its error string is compared too
         out = []
         for workers in (1, 2):
             rows, audit = sweep_threshold(
-                fat_oracle(), plane_space(), [0.85, 0.7],
+                fat_oracle(), plane_space(), [0.85, 0.7, 0.995],
                 budget=50, init_count=12, samplers=("random", "gp"), methods=("none",),
                 kinds=("knn",), seeds=(0, 1), points_per_dim=5,
                 acquisition_candidates=128, refine_steps=6, workers=workers,
@@ -391,6 +409,9 @@ class TestSweeps:
             out.append(([r.to_json_dict() for _, r in rows], audit))
         assert out[1] == out[0]
         assert out[0][1]["extra_calls_during_sweep"] == 0
+        failed = [c["error"] for c in out[0][0][2]["cells"]]
+        assert len(failed) == 4 and all("single class" in e for e in failed)
+        assert not any(c["error"] for report in out[0][0][:2] for c in report["cells"])
 
     def test_threshold_relabeling_monotone(self):
         base = fat_oracle()

@@ -11,7 +11,6 @@ from distrel.sampling import (
     _PairwiseDiffTracker,
     acquisition,
     beta_coefficient,
-    label_accuracy,
     load_labeled_set,
     minority_direction,
     run_gp_sampling,
@@ -32,21 +31,28 @@ def unit_space(d=2):
 
 
 class TestLabelAccuracy:
+    """The labelling rule, as LabeledSet.from_accuracies applies it."""
+
+    @staticmethod
+    def label(accuracy, h):
+        [label] = LabeledSet.from_accuracies([[0.5, 0.5]], [accuracy], h).labels
+        return label
+
     def test_below_threshold_is_negative(self):
         # accuracy 0.82 against h = 0.95
-        assert label_accuracy(0.82, 0.95) == 0
+        assert self.label(0.82, 0.95) == 0
 
     def test_tie_is_positive(self):
-        assert label_accuracy(0.7, 0.7) == 1
+        assert self.label(0.7, 0.7) == 1
 
     def test_max_accuracy(self):
-        assert label_accuracy(1.0, 0.0) == 1
+        assert self.label(1.0, 0.0) == 1
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            label_accuracy(1.2, 0.5)
+            self.label(1.2, 0.5)
         with pytest.raises(ValueError):
-            label_accuracy(0.5, -0.1)
+            self.label(0.5, -0.1)
 
 
 class TestBetaCoefficient:
