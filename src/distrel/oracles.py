@@ -434,11 +434,12 @@ class CachingOracle:
         self.queries = 0
 
     @staticmethod
-    def _key(level) -> tuple:
-        return tuple(float(v) for v in np.asarray(level, dtype=np.float64))
+    def _keys(levels) -> list:
+        """One cache key per row of ``levels``: its coordinates as a tuple of floats."""
+        return list(map(tuple, np.atleast_2d(np.asarray(levels, dtype=np.float64)).tolist()))
 
     def __call__(self, level) -> float:
-        key = self._key(level)
+        key = self._keys(level)[0]
         with self._lock:
             self.queries += 1
             if key in self._cache:
@@ -449,6 +450,24 @@ class CachingOracle:
             self.inner_calls += 1
         return value
 
+    def evaluate_many(self, levels) -> np.ndarray:
+        """The cached accuracy at each row of ``levels``.
+
+        Every row counts as one query, as if each were queried here; the
+        distinct levels not cached yet go to the inner oracle in one
+        ``evaluate_many`` batch, and each counts as one inner call.
+        """
+        keys = self._keys(levels)
+        with self._lock:
+            self.queries += len(keys)
+            misses = list(dict.fromkeys(key for key in keys if key not in self._cache))
+        if misses:
+            values = evaluate_many(self.inner, np.array(misses))
+            with self._lock:
+                self._cache.update(zip(misses, values.tolist()))
+                self.inner_calls += len(misses)
+        return np.array([self._cache[key] for key in keys])
+
     def record(self, levels, values) -> None:
         """Cache values computed elsewhere, such as in a forked worker.
 
@@ -456,8 +475,7 @@ class CachingOracle:
         if it had been queried here; cached levels are left as they are.
         """
         with self._lock:
-            for level, value in zip(levels, values):
-                key = self._key(level)
+            for key, value in zip(self._keys(levels), values):
                 if key not in self._cache:
                     self._cache[key] = float(value)
                     self.queries += 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distrel.models import (
+    LogisticModel,
     TreeModel,
     load_model,
     logistic_loss_and_grad,
@@ -56,10 +57,27 @@ class TestLogistic:
 
     def test_zero_weights_predict_positive(self):
         # probability exactly 0.5 maps to label 1 by the >= 0.5 convention
-        data = plain_set([[0.2, 0.2], [0.8, 0.8]], [0, 1])
-        model = train("logistic", data, unit_space(2), hyper={"epochs": 0})
-        assert np.array_equal(model.weights, np.zeros(3))
+        model = LogisticModel([0.0, 0.0], [1.0, 1.0], {}, weights=np.zeros(3), final_grad_norm=0.0)
         assert predict_label(model, [0.5, 0.5]) == 1
+
+    def test_rejects_hyperparameters(self):
+        with pytest.raises(ValueError, match="unknown logistic hyperparameters"):
+            train("logistic", separable_data(), unit_space(2), hyper={"epochs": 1})
+
+    def test_loads_gradient_descent_model_file(self):
+        # files written when the fit took epochs and a learning rate still
+        # load, and predict from their weights
+        doc = {
+            "format_version": 1,
+            "kind": "logistic",
+            "hyper": {"epochs": 500, "learning_rate": 0.1},
+            "params": {"weights": [-1.0, 2.0, 0.0], "final_grad_norm": 0.01},
+            "bounds": {"lower": [0.0, 0.0], "upper": [10.0, 10.0]},
+        }
+        model = model_from_dict(doc)
+        # score = -1 + 2 * level[0] / 10
+        np.testing.assert_array_equal(model.predict([[4.0, 9.0], [6.0, 0.0]]), [0, 1])
+        assert model.to_dict() == doc
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -112,6 +130,37 @@ class TestLogistic:
     def test_reports_final_gradient_norm(self):
         model = train("logistic", separable_data(), unit_space(2))
         assert model.final_grad_norm >= 0.0
+
+
+@st.composite
+def two_class_sets(draw):
+    """A weighted set of 2-40 levels in the unit cube of 1-6 dimensions with
+    both labels; about half are split by a hyperplane, so separable."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 40))
+    unit = st.floats(0.0, 1.0)
+    rows = st.lists(st.lists(unit, min_size=d, max_size=d), min_size=n, max_size=n)
+    levels = np.array(draw(rows))
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        normal = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+        order = np.argsort(levels @ normal, kind="stable")
+        labels = np.zeros(n, dtype=np.int64)
+        labels[order[draw(st.integers(1, n - 1)):]] = 1
+    else:
+        labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        labels[:2] = [0, 1]
+    return plain_set(levels, labels, weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_class_sets())
+def test_logistic_fit_reaches_penalised_optimum(data):
+    model = train("logistic", data, unit_space(data.levels.shape[1]))
+    x = np.hstack([np.ones((data.n, 1)), data.levels])
+    _, grad = logistic_loss_and_grad(model.weights, x, data.labels.astype(float), data.weights)
+    assert model.final_grad_norm <= 1e-8
+    assert model.final_grad_norm == np.linalg.norm(grad + 1e-8 * model.weights)
 
 
 class TestTree:

@@ -306,6 +306,33 @@ class TestCachingOracle:
         lv = np.array([0.5])
         assert wrapped(lv) == wrapped(lv)
 
+    def test_batch_counts_as_per_level_queries(self):
+        # one batch with a repeated level and cached levels counts as the same
+        # rows queried one by one, and sends only its distinct misses inward
+        batches = []
+
+        class Inner:
+            def __call__(self, level):
+                return float(level[0])
+
+            def evaluate_many(self, levels):
+                batches.append(levels.copy())
+                return levels[:, 0]
+
+        fresh = np.random.default_rng(1).random((5, 2))
+        batch = np.vstack([fresh, fresh[1:2], fresh[3:4]])
+        one_by_one, batched = caching_oracle(Inner()), caching_oracle(Inner())
+        for wrapped in (one_by_one, batched):
+            wrapped(fresh[0])
+            wrapped(fresh[3])
+        expected = [one_by_one(level) for level in batch]
+        np.testing.assert_array_equal(batched.evaluate_many(batch), expected)
+        assert (batched.queries, batched.inner_calls, batched.cache_size) == (
+            one_by_one.queries, one_by_one.inner_calls, one_by_one.cache_size
+        ) == (9, 5, 5)
+        assert len(batches) == 1
+        np.testing.assert_array_equal(batches[0], fresh[[1, 2, 4]])
+
     def test_record_counts_new_levels_only(self):
         calls = []
         wrapped = caching_oracle(lambda c: calls.append(c) or 0.5)
