@@ -6,31 +6,4 @@ non-reliable against a threshold, rebalance the resulting set, train small
 distortion-classifiers on it, and score them on a dense grid of levels.
 """
 
-from distrel.space import SearchSpace
-from distrel.gp import KernelConfig, GpPosterior, fit, predict
-from distrel.sampling import (
-    LabeledSet,
-    SamplerConfig,
-    run_gp_sampling,
-    run_random_sampling,
-)
-from distrel.evaluation import Metrics, ExperimentReport, f1_score, run_experiment
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "SearchSpace",
-    "KernelConfig",
-    "GpPosterior",
-    "fit",
-    "predict",
-    "LabeledSet",
-    "SamplerConfig",
-    "run_gp_sampling",
-    "run_random_sampling",
-    "Metrics",
-    "ExperimentReport",
-    "f1_score",
-    "run_experiment",
-    "__version__",
-]

@@ -23,11 +23,6 @@ import numpy as np
 # machine line that perfbench/run.py prints with each benchmark run.
 HAS_NUMBA = False
 
-try:
-    from threadpoolctl import threadpool_limits as _threadpool_limits
-except ImportError:  # pragma: no cover
-    _threadpool_limits = None
-
 # (getter, setter) symbol names exported by the OpenBLAS builds numpy and
 # scipy ship: the scipy-openblas wheels (64-bit-integer numpy copy and 32-bit
 # scipy copy) and plain system OpenBLAS.
@@ -101,12 +96,10 @@ def single_threaded_blas():
 
     The tight refit/predict loops issue thousands of small BLAS calls; on
     small shared boxes the per-call thread synchronization costs far more
-    than the second core earns, so the loops run with this active.
-    threadpoolctl is used when installed; otherwise every loaded OpenBLAS is
-    pinned through its own thread-count setter. Any other BLAS is left alone.
+    than the second core earns, so the loops run with this active. Every
+    loaded OpenBLAS is pinned through its own thread-count setter; any other
+    BLAS is left alone.
     """
-    if _threadpool_limits is not None:
-        return _threadpool_limits(limits=1, user_api="blas")
     return _pinned_openblas(openblas_thread_controls())
 
 

@@ -399,6 +399,8 @@ def _read_training_csv(path, space, h):
 def cmd_train(cfg: dict, data_path: str) -> int:
     space = build_space(cfg)
     data = _read_training_csv(data_path, space, cfg["h"])
+    if "knn" in cfg["kinds"] and np.any(data.weights != 1.0):
+        print(f"note: k-NN ignores the sample weights in {data_path}", file=sys.stderr)
     out = _out_dir(cfg)
     for kind in cfg["kinds"]:
         model = models_mod.train(kind, data, space)
@@ -413,6 +415,10 @@ def cmd_evaluate(cfg: dict, model_paths: list, test_set: str) -> int:
     space = build_space(cfg)
     # every input is read before the grid's oracle calls and the output directory
     models = [models_mod.load_model(path) for path in model_paths]
+    for path, model in zip(model_paths, models):
+        if model.dim != space.dim:
+            raise files.InputFileError(
+                f"{path}: model has dimension {model.dim}, the config's space has {space.dim}")
     if test_set:
         grid = load_labeled_set(test_set, space, cfg["h"])
     else:
@@ -554,6 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the commands that train and score the cells of the matrix
+_CELL_COMMANDS = ("pipeline", "sweep-budget", "sweep-threshold")
+
 _COMMANDS = {
     "sample": lambda cfg, args: cmd_sample(cfg, args.workers),
     "rebalance": lambda cfg, args: cmd_rebalance(cfg, args.data, args.method),
@@ -579,6 +588,11 @@ def main(argv=None) -> int:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         seeds = None if args.seed is None else [args.seed]
         cfg = resolve_config(load_config(args.config), {"out": args.out, "seeds": seeds})
+        cells = args.command in _CELL_COMMANDS
+        if cells and "knn" in cfg["kinds"] and "reweight" in cfg["methods"]:
+            # exact: reweight keeps the levels and labels and only sets weights
+            print("note: k-NN ignores sample weights, so its reweight cells score as its none cells",
+                  file=sys.stderr)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

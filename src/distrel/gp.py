@@ -65,10 +65,6 @@ class GpPosterior:
     chol_inv: np.ndarray
     jitter_used: float
 
-    @property
-    def n_points(self) -> int:
-        return self.inputs.shape[0]
-
 
 def kernel_eval(a, b, cfg: KernelConfig) -> float:
     """k(a, b) = signal_variance * exp(-1/2 * sum_j ((a_j-b_j)/l_j)^2)."""
@@ -189,12 +185,6 @@ def predict_batch(gp: GpPosterior, points) -> tuple:
             f"query dimension {z.shape[1]} != posterior dimension {gp.kernel.dim}"
         )
     return _predict_raw(gp, np.ascontiguousarray(z))
-
-
-def predict(gp: GpPosterior, point) -> tuple:
-    """Mean/variance at a single distortion level."""
-    mean, var = predict_batch(gp, np.asarray(point, dtype=np.float64)[None, :])
-    return float(mean[0]), float(var[0])
 
 
 def median_heuristic_lengthscales(points) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Distortion-classifiers: map a distortion level to a reliable/non-reliable label.
 
-``train(kind, data, space, hyper)`` fits one of ``KINDS`` on a rebalanced set;
-``hyper`` may override the fixed defaults each kind lists in ``HYPER``:
+``train(kind, data, space)`` fits one of ``KINDS`` on a rebalanced set, with
+the fixed hyperparameters each kind lists in ``HYPER``:
 
 - ``logistic``: logistic regression by Newton's method (IRLS) to its optimum,
   with a 1e-8 ridge that keeps the weights finite on separable sets;
@@ -11,7 +11,9 @@
 
 All operate on features normalized to the unit cube; each trained model
 snapshots the normalization bounds it was fitted with and serializes them
-with its hyperparameters and fitted parameters. Tie conventions are fixed:
+with its hyperparameters and fitted parameters. Every model checks its
+parameters against its dimension when it is built, so a model file that
+could not predict is refused as it loads. Tie conventions are fixed:
 logistic probability 0.5 maps to label 1, k-NN vote ties map to label 0,
 tree leaf ties map to label 0.
 
@@ -24,8 +26,6 @@ sequential first-wins rule (a gain must beat the best so far by 1e-15) over
 the candidates that set a new running maximum, so it picks the same splits
 as a candidate-by-candidate loop.
 """
-
-import warnings
 
 import numpy as np
 
@@ -48,6 +48,11 @@ def _sigmoid(s):
     return out
 
 
+def _mean_grad(x, s, y, sample_weights, total) -> np.ndarray:
+    """Gradient of the weighted mean cross-entropy at the scores ``s = x @ w``."""
+    return x.T @ (sample_weights * (_sigmoid(s) - y)) / total
+
+
 def logistic_loss_and_grad(w, x, y, sample_weights):
     """Weighted mean binary cross-entropy and its gradient in w.
 
@@ -57,12 +62,12 @@ def logistic_loss_and_grad(w, x, y, sample_weights):
     s = x @ w
     total = sample_weights.sum()
     loss = float(np.sum(sample_weights * (np.logaddexp(0.0, s) - y * s)) / total)
-    grad = x.T @ (sample_weights * (_sigmoid(s) - y)) / total
-    return loss, grad
+    return loss, _mean_grad(x, s, y, sample_weights, total)
 
 
 def _penalised_grad(w, x, y, sample_weights) -> np.ndarray:
-    return logistic_loss_and_grad(w, x, y, sample_weights)[1] + _RIDGE * w
+    """The gradient of ``logistic_loss_and_grad`` plus the ridge's, without the loss."""
+    return _mean_grad(x, x @ w, y, sample_weights, sample_weights.sum()) + _RIDGE * w
 
 
 def _floats(value) -> np.ndarray:
@@ -86,9 +91,10 @@ class _Model:
     """The envelope every kind shares.
 
     A model holds the normalization bounds it was fitted with, its
-    hyperparameters (``HYPER`` gives each name and its default) and its
+    hyperparameters (``HYPER`` gives each name and its value) and its
     fitted parameters (``PARAMS`` gives each attribute name and its type).
-    ``fit`` turns normalized levels into those parameters.
+    ``fit`` turns normalized levels into those parameters; ``_check`` raises
+    ValueError unless they fit the model's dimension.
     """
 
     kind = None
@@ -101,6 +107,16 @@ class _Model:
         self.hyper = dict(hyper)
         for name, convert in self.PARAMS.items():
             setattr(self, name, convert(params[name]))
+        lower, upper = self.bounds_lower, self.bounds_upper
+        if not (lower.ndim == 1 and lower.size and upper.shape == lower.shape
+                and np.all(lower < upper)):
+            raise ValueError(f"bounds must be one lower < upper pair per dimension, "
+                             f"got {lower.tolist()} and {upper.tolist()}")
+        self._check()
+
+    @property
+    def dim(self) -> int:
+        return self.bounds_lower.size
 
     def _normalize(self, levels) -> np.ndarray:
         return _normalize(levels, self.bounds_lower, self.bounds_upper)
@@ -124,6 +140,11 @@ class _Model:
 class LogisticModel(_Model):
     kind = "logistic"
     PARAMS = {"weights": _floats, "final_grad_norm": float}
+
+    def _check(self) -> None:
+        if self.weights.shape != (self.dim + 1,):
+            raise ValueError(f"logistic weights have shape {self.weights.shape}, "
+                             f"expected ({self.dim + 1},)")
 
     @staticmethod
     def fit(z, data: RebalancedSet, hyper: dict) -> dict:
@@ -159,6 +180,20 @@ class TreeModel(_Model):
     HYPER = {"max_depth": 8, "min_leaf": 5}
     PARAMS = {"root": dict}
 
+    def _check(self) -> None:
+        nodes = [self.root]
+        while nodes:
+            node = nodes.pop()
+            if "label" in node:
+                if node["label"] not in (0, 1):
+                    raise ValueError(f"tree leaf label {node['label']!r} is not 0 or 1")
+                continue
+            if not (isinstance(node["feature"], int) and 0 <= node["feature"] < self.dim):
+                raise ValueError(f"tree node feature {node['feature']!r} outside [0, {self.dim})")
+            if not isinstance(node["threshold"], (int, float)):
+                raise ValueError(f"tree node threshold {node['threshold']!r} is not a number")
+            nodes += [node["left"], node["right"]]
+
     @staticmethod
     def fit(z, data: RebalancedSet, hyper: dict) -> dict:
         return {"root": _build_node(
@@ -184,15 +219,20 @@ class KnnModel(_Model):
     HYPER = {"k": 5}
     PARAMS = {"points": _floats, "labels": lambda v: np.asarray(v, dtype=np.int64)}
 
+    def _check(self) -> None:
+        k = self.hyper["k"]
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        m = self.points.shape[0]
+        if self.points.shape != (m, self.dim) or m == 0:
+            raise ValueError(f"k-NN points have shape {self.points.shape}, "
+                             f"expected (m, {self.dim}) with m >= 1")
+        if self.labels.shape != (m,):
+            raise ValueError(f"k-NN labels have shape {self.labels.shape}, expected ({m},)")
+
     @staticmethod
     def fit(z, data: RebalancedSet, hyper: dict) -> dict:
-        if hyper["k"] < 1:
-            raise ValueError(f"k must be >= 1, got {hyper['k']}")
-        if not np.allclose(data.weights, 1.0):
-            warnings.warn(
-                "k-NN ignores sample weights; use logistic or tree for reweighting",
-                stacklevel=3,
-            )
+        """Stores the training points; sample weights are ignored."""
         return {"points": z, "labels": data.labels}
 
     def predict(self, levels) -> np.ndarray:
@@ -205,7 +245,7 @@ class KnnModel(_Model):
         training points.
         """
         z = self._normalize(levels)
-        k = min(int(self.hyper["k"]), self.points.shape[0])
+        k = min(self.hyper["k"], self.points.shape[0])
         d = _kernels.pairwise_sq_dists(
             np.ascontiguousarray(z), np.ascontiguousarray(self.points)
         )
@@ -224,29 +264,14 @@ def _model_class(kind):
     return _KINDS[kind]
 
 
-def _parse_hyper(cls, hyper) -> dict:
-    """The kind's defaults overridden by ``hyper``, cast to the defaults' types."""
-    hyper = dict(hyper or {})
-    unknown = sorted(set(hyper) - set(cls.HYPER))
-    if unknown:
-        raise ValueError(f"unknown {cls.kind} hyperparameters {unknown}")
-    return {name: type(default)(hyper.get(name, default)) for name, default in cls.HYPER.items()}
-
-
-def train(kind: str, data: RebalancedSet, space: SearchSpace, hyper: dict = None):
+def train(kind: str, data: RebalancedSet, space: SearchSpace):
     """Train one distortion-classifier kind on a rebalanced set."""
     cls = _model_class(kind)
     counts = data.class_counts()
     if min(counts) == 0:
         raise ValueError(f"training data has a single class (counts {counts})")
-    hyper = _parse_hyper(cls, hyper)
-    params = cls.fit(_normalize(data.levels, space.lowers, space.uppers), data, hyper)
-    return cls(space.lowers, space.uppers, hyper, **params)
-
-
-def predict_label(model, level) -> int:
-    """Deterministic 0/1 prediction at a single level."""
-    return int(model.predict(np.asarray(level, dtype=np.float64)[None, :])[0])
+    params = cls.fit(_normalize(data.levels, space.lowers, space.uppers), data, cls.HYPER)
+    return cls(space.lowers, space.uppers, cls.HYPER, **params)
 
 
 def _leaf(labels, weights) -> dict:

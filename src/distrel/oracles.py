@@ -481,10 +481,6 @@ class CachingOracle:
                     self.queries += 1
                     self.inner_calls += 1
 
-    @property
-    def cache_size(self) -> int:
-        return len(self._cache)
-
 
 def caching_oracle(inner) -> CachingOracle:
     return CachingOracle(inner)
@@ -522,16 +518,13 @@ def load_idx_labels(path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, count=n, offset=8).astype(np.int64)
 
 
-def load_idx_verification_set(images_path, labels_path, limit=None) -> VerificationSet:
+def load_idx_verification_set(images_path, labels_path) -> VerificationSet:
     images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
         raise ValueError(
             f"{images.shape[0]} images but {labels.shape[0]} labels"
         )
-    if limit is not None:
-        images = images[:limit]
-        labels = labels[:limit]
     return VerificationSet(
         images=images, labels=labels, n_classes=int(labels.max()) + 1
     )

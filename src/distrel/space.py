@@ -89,14 +89,6 @@ class SearchSpace:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
-    def to_dict(self) -> dict:
-        return {
-            "dims": [
-                {"name": n, "lower": float(lo), "upper": float(hi)}
-                for n, lo, hi in zip(self.names, self.lowers, self.uppers)
-            ]
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "SearchSpace":
         dims = d["dims"]

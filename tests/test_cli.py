@@ -383,6 +383,19 @@ class TestSweepCommands:
         assert manifest["audit"]["extra_calls_during_sweep"] == 0
         assert (out / "threshold_sweep.csv").exists()
 
+    def test_knn_weights_note_printed_once(self, tmp_path, capfd):
+        # BASE_CONFIG pairs reweight with knn; forked workers print nothing more
+        path = write_config(tmp_path, thresholds=[0.7, 0.9], seeds=[0, 1])
+        for workers in ("1", "2"):
+            assert main(["sweep-threshold", "--config", str(path), "--out",
+                         str(tmp_path / workers), "--workers", workers]) == 0
+            err = capfd.readouterr().err
+            assert err.count("k-NN ignores sample weights") == 1
+            assert err.splitlines()[0] == (
+                "note: k-NN ignores sample weights, so its reweight cells score as its none cells"
+            )
+            assert "UserWarning" not in err
+
 
 def output_digests(out):
     return {
@@ -596,6 +609,44 @@ class TestMalformedInputFiles:
         assert main(["evaluate", "--config", str(path), "--models", str(model),
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot read {model}: Expecting value")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, fault, where", [
+        ("knn", {"hyper": {"k": 0}}, "invalid content: k must be an integer >= 1, got 0"),
+        ("knn", {"hyper": {}}, "missing field 'k'"),
+        ("knn", {"params": {"points": [[0.5, 0.5], [0.2, 0.2]], "labels": [1, 0]}},
+         "invalid content: k-NN points have shape (2, 2), expected (m, 6)"),
+        ("tree", {"params": {"root": {"feature": 9, "threshold": 0.5,
+                                      "left": {"label": 0}, "right": {"label": 1}}}},
+         "invalid content: tree node feature 9 outside [0, 6)"),
+        ("logistic", {"params": {"weights": [0.5, 1.0], "final_grad_norm": 0.0}},
+         "invalid content: logistic weights have shape (2,), expected (7,)"),
+        ("knn", {"bounds": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+                 "params": {"points": [[0.5, 0.5], [0.2, 0.2]], "labels": [1, 0]}},
+         "model has dimension 2, the config's space has 6"),
+        ("knn", {"params": {"points": [[0.5] * 6], "labels": [1, 0]}},
+         "invalid content: k-NN labels have shape (2,), expected (1,)"),
+        ("tree", {"params": {"root": {"label": 2}}}, "invalid content: tree leaf label 2 is not 0 or 1"),
+        ("tree", {"params": {"root": {"feature": 0, "threshold": "low",
+                                      "left": {"label": 0}, "right": {"label": 1}}}},
+         "invalid content: tree node threshold 'low' is not a number"),
+        ("logistic", {"bounds": {"lower": [0.0] * 6, "upper": [1.0, 1.0]}},
+         "invalid content: bounds must be one lower < upper pair per dimension"),
+    ])
+    def test_malformed_model_file_exits_1(self, tmp_path, capsys, monkeypatch, kind, fault, where):
+        path = write_config(tmp_path, kinds=["logistic", "tree", "knn"])
+        data = write_training_csv(tmp_path / "data.csv", "rebalanced")
+        assert main(["train", "--config", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "m")]) == 0
+        model = tmp_path / "m" / f"model_{kind}.json"
+        model.write_text(json.dumps({**json.loads(model.read_text()), **fault}))
+        monkeypatch.setattr(cli, "build_oracle", lambda cfg: pytest.fail("oracle built"))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(path), "--models", str(model),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and where in err
         assert not out.exists()
 
 

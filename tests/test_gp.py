@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distrel import gp as gpmod
@@ -13,7 +13,6 @@ from distrel.gp import (
     fit,
     kernel_eval,
     median_heuristic_lengthscales,
-    predict,
     predict_batch,
 )
 
@@ -82,7 +81,7 @@ class TestFit:
     def test_single_point_alpha(self):
         cfg = KernelConfig(np.ones(2), 1.0, jitter=1e-10)
         gp = fit([[0.2, 0.8]], [0.5], cfg)
-        assert gp.n_points == 1
+        assert gp.inputs.shape[0] == 1
         expected = 0.5 / (1.0 + 1e-10)
         assert gp.alpha[0] == pytest.approx(expected, rel=1e-12)
 
@@ -165,16 +164,16 @@ class TestPredict:
         cfg = KernelConfig(np.full(6, 0.5), 1.0, jitter=1e-10)
         gp = fit(x, y, cfg)
         for i in range(15):
-            mean, var = predict(gp, x[i])
-            assert abs(mean - y[i]) <= 1e-6
-            assert var <= 1e-6
+            mean, var = predict_batch(gp, x[i][None])
+            assert abs(mean[0] - y[i]) <= 1e-6
+            assert var[0] <= 1e-6
 
     def test_far_point_recovers_prior(self):
         cfg = KernelConfig(np.full(2, 0.01), 0.7, jitter=1e-10)
         gp = fit([[0.0, 0.0]], [0.9], cfg)
         # 10+ lengthscales away in every coordinate
-        _, var = predict(gp, [0.5, 0.5])
-        assert abs(var - 0.7) <= 1e-4
+        _, var = predict_batch(gp, np.array([[0.5, 0.5]]))
+        assert abs(var[0] - 0.7) <= 1e-4
 
     def test_matches_dense_solve_oracle(self):
         rng = np.random.default_rng(13)
@@ -192,7 +191,7 @@ class TestPredict:
     def test_dimension_mismatch(self):
         gp = fit([[0.1, 0.2]], [0.5], KernelConfig(np.ones(2), 1.0))
         with pytest.raises(ValueError, match="dimension"):
-            predict(gp, [0.1, 0.2, 0.3])
+            predict_batch(gp, np.array([[0.1, 0.2, 0.3]]))
 
     def test_variance_nonnegative_everywhere(self):
         rng = np.random.default_rng(14)
@@ -304,3 +303,42 @@ def test_check_duplicates_matches_pair_loop(rows):
         else:
             got = None
     assert got == expected
+
+
+@st.composite
+def gp_problems(draw):
+    """A GP on n = 1-30 distinct points of the unit cube in d = 1-6
+    dimensions, with drawn targets, lengthscales and signal variance, and
+    1-8 probes."""
+    d = draw(st.integers(1, 6))
+    unit = st.floats(0.0, 1.0)
+    point = st.lists(unit, min_size=d, max_size=d).map(tuple)
+    x = np.array(draw(st.lists(point, min_size=1, max_size=30, unique=True)))
+    y = np.array(draw(st.lists(unit, min_size=len(x), max_size=len(x))))
+    ls = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d)))
+    variance = draw(st.floats(0.05, 2.0))
+    probes = np.array(draw(st.lists(point, min_size=1, max_size=8)))
+    return x, y, KernelConfig(ls, variance), probes
+
+
+@settings(max_examples=200, deadline=None)
+@given(gp_problems())
+def test_predict_batch_matches_dense_solve(problem):
+    x, y, cfg, probes = problem
+    t = (x[:, None, :] - x[None, :, :]) / cfg.lengthscales
+    k = cfg.signal_variance * np.exp(-0.5 * np.sum(t * t, axis=2))
+    cond = np.linalg.cond(k + cfg.jitter * np.eye(len(x)))
+    assume(cond < 1e8)
+    gp = fit(x, y, cfg)
+    mean, var = predict_batch(gp, probes)
+    m_ref, v_ref = dense_solve_oracle(
+        x, y, cfg.lengthscales, cfg.signal_variance, gp.jitter_used, probes
+    )
+    # Both sides solve the same system (K + jitter I) by backward-stable
+    # methods, Cholesky with an explicit triangular inverse against LU, so
+    # each is off the exact answer by about n * cond * eps on targets in
+    # [0, 1] and variances up to the signal variance. The factor 1e3 is a
+    # margin over the largest ratio seen in 8000 seeded draws, about 130.
+    tol = 1e3 * len(x) * cond * np.finfo(float).eps * max(1.0, cfg.signal_variance)
+    np.testing.assert_allclose(mean, m_ref, rtol=0, atol=tol)
+    np.testing.assert_allclose(var, np.maximum(v_ref, 0.0), rtol=0, atol=tol)

@@ -48,7 +48,6 @@ def test_pin_leaves_copies_at_one_thread_alone(monkeypatch):
             counts[i] = n
         return (lambda: counts[i]), set_threads
 
-    monkeypatch.setattr(_kernels, "_threadpool_limits", None)
     monkeypatch.setattr(_kernels, "openblas_thread_controls", lambda: [control(0), control(1)])
     with _kernels.single_threaded_blas():
         assert counts == [1, 1]

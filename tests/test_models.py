@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distrel.models import (
+    KnnModel,
     LogisticModel,
     TreeModel,
     load_model,
     logistic_loss_and_grad,
     model_from_dict,
-    predict_label,
     save_model,
     train,
 )
@@ -58,11 +58,7 @@ class TestLogistic:
     def test_zero_weights_predict_positive(self):
         # probability exactly 0.5 maps to label 1 by the >= 0.5 convention
         model = LogisticModel([0.0, 0.0], [1.0, 1.0], {}, weights=np.zeros(3), final_grad_norm=0.0)
-        assert predict_label(model, [0.5, 0.5]) == 1
-
-    def test_rejects_hyperparameters(self):
-        with pytest.raises(ValueError, match="unknown logistic hyperparameters"):
-            train("logistic", separable_data(), unit_space(2), hyper={"epochs": 1})
+        assert model.predict([[0.5, 0.5]])[0] == 1
 
     def test_loads_gradient_descent_model_file(self):
         # files written when the fit took epochs and a learning rate still
@@ -206,9 +202,9 @@ class TestTree:
         levels = np.array([[0.1], [0.2], [0.3], [0.8], [0.9]])
         labels = np.array([0, 0, 0, 1, 1])
         data = plain_set(levels, labels, weights=[0.1, 0.1, 0.1, 10.0, 10.0])
-        model = train("tree", data, unit_space(1), hyper={"min_leaf": 5})
+        model = train("tree", data, unit_space(1))
         # no split possible (min_leaf=5); the leaf must follow the weighted majority
-        assert predict_label(model, [0.5]) == 1
+        assert model.predict([[0.5]])[0] == 1
 
 
 def reference_gini(w0, w1) -> float:
@@ -323,31 +319,32 @@ def test_tree_keeps_first_of_mirrored_splits():
     assert root["threshold"] == pytest.approx(2.5 / 19)
 
 
+def knn_model(levels, labels, k):
+    """A k-NN model on the unit cube, as a model file with this ``k`` loads."""
+    levels = np.asarray(levels, dtype=float)
+    d = levels.shape[1]
+    return KnnModel(np.zeros(d), np.ones(d), {"k": k}, points=levels, labels=labels)
+
+
 class TestKnn:
     def test_k1_reproduces_training_labels(self):
         rng = np.random.default_rng(5)
         levels = rng.random((30, 2))
         labels = (rng.random(30) > 0.5).astype(np.int64)
-        data = plain_set(levels, labels)
-        model = train("knn", data, unit_space(2), hyper={"k": 1})
+        model = knn_model(levels, labels, k=1)
         np.testing.assert_array_equal(model.predict(levels), labels)
 
     def test_tie_goes_to_zero(self):
         levels = np.array([[0.4, 0.5], [0.6, 0.5]])
         labels = np.array([0, 1])
-        model = train("knn", plain_set(levels, labels), unit_space(2), hyper={"k": 2})
-        assert predict_label(model, [0.5, 0.5]) == 0
-
-    def test_warns_when_weights_ignored(self):
-        data = plain_set([[0.1], [0.9]], [0, 1], weights=[2.0, 1.0])
-        with pytest.warns(UserWarning, match="ignores sample weights"):
-            train("knn", data, unit_space(1))
+        model = knn_model(levels, labels, k=2)
+        assert model.predict([[0.5, 0.5]])[0] == 0
 
     def test_majority_vote(self):
         levels = np.array([[0.45], [0.5], [0.55], [0.95], [0.05]])
         labels = np.array([1, 1, 1, 0, 0])
-        model = train("knn", plain_set(levels, labels), unit_space(1), hyper={"k": 3})
-        assert predict_label(model, [0.5]) == 1
+        model = knn_model(levels, labels, k=3)
+        assert model.predict([[0.5]])[0] == 1
 
 
 class TestCommon:
@@ -364,7 +361,7 @@ class TestCommon:
     def test_dimension_mismatch_at_predict(self):
         model = train("knn", plain_set([[0.1], [0.9]], [0, 1]), unit_space(1))
         with pytest.raises(ValueError, match="dimension"):
-            predict_label(model, [0.1, 0.2])
+            model.predict([[0.1, 0.2]])
 
     @pytest.mark.parametrize("kind", ["logistic", "tree", "knn"])
     def test_serialization_roundtrip(self, kind, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distrel import _kernels, sampling
+from distrel import _kernels, cli, sampling
 from distrel.distortion import DISTORTION_DIMS, apply_distortion, distortion_space, identity_level
 from distrel.evaluation import build_grid_test_set
 from distrel.oracles import (
@@ -299,7 +299,7 @@ class TestCachingOracle:
             wrapped(lv)
             wrapped(lv)
         assert wrapped.inner_calls == 100
-        assert wrapped.cache_size == 100
+        assert len(wrapped._cache) == 100
 
     def test_cache_returns_bit_identical_value(self):
         wrapped = caching_oracle(lambda c: 1.0 / 3.0)
@@ -327,8 +327,8 @@ class TestCachingOracle:
             wrapped(fresh[3])
         expected = [one_by_one(level) for level in batch]
         np.testing.assert_array_equal(batched.evaluate_many(batch), expected)
-        assert (batched.queries, batched.inner_calls, batched.cache_size) == (
-            one_by_one.queries, one_by_one.inner_calls, one_by_one.cache_size
+        assert (batched.queries, batched.inner_calls, len(batched._cache)) == (
+            one_by_one.queries, one_by_one.inner_calls, len(one_by_one._cache)
         ) == (9, 5, 5)
         assert len(batches) == 1
         np.testing.assert_array_equal(batches[0], fresh[[1, 2, 4]])
@@ -338,7 +338,7 @@ class TestCachingOracle:
         wrapped = caching_oracle(lambda c: calls.append(c) or 0.5)
         wrapped(np.array([0.1, 0.2]))
         wrapped.record(np.array([[0.1, 0.2], [0.3, 0.4], [0.3, 0.4]]), [0.9, 0.7, 0.7])
-        assert (wrapped.inner_calls, wrapped.queries, wrapped.cache_size) == (2, 2, 2)
+        assert (wrapped.inner_calls, wrapped.queries, len(wrapped._cache)) == (2, 2, 2)
         # a recorded level is served from the cache; a cached one keeps its value
         assert wrapped(np.array([0.3, 0.4])) == 0.7
         assert wrapped(np.array([0.1, 0.2])) == 0.5
@@ -386,12 +386,20 @@ class TestIdx:
             load_idx_images(path)
 
     def test_limit(self, tmp_path):
+        # an idx dataset's first verification_limit images verify, the next
+        # train_limit train the classifier
         rng = np.random.default_rng(3)
         images = rng.integers(0, 256, (10, 2, 2), dtype=np.uint8)
-        labels = rng.integers(0, 3, 10).astype(np.uint8)
+        labels = np.arange(10, dtype=np.uint8) % 3
         ipath, lpath = self._write_idx(tmp_path, images, labels)
-        vs = load_idx_verification_set(ipath, lpath, limit=4)
-        assert vs.n == 4
+        dataset = {"type": "idx", "images": str(ipath), "labels": str(lpath),
+                   "verification_limit": 4, "train_limit": 3}
+        cfg = cli.resolve_config({"oracle": {"kind": "classifier", "dataset": dataset}})
+        oracle = cli.build_oracle(cfg)
+        np.testing.assert_array_equal(oracle.verification.images, images[:4] / 255.0)
+        np.testing.assert_array_equal(oracle.verification.labels, labels[:4])
+        np.testing.assert_array_equal(oracle.classifier.centroids,
+                                      images[[6, 4, 5]].reshape(3, 4) / 255.0)
 
 
 class _FaultyOracle:

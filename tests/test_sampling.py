@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from distrel.gp import KernelConfig, fit
+from distrel.gp import KernelConfig, fit, predict_batch
 from distrel.sampling import (
     LabeledSet,
     OracleError,
@@ -97,10 +97,8 @@ class TestAcquisition:
         x = rng.random((6, 2))
         gp = self.fit_gp(x, rng.random(6))
         probe = rng.random(2)
-        from distrel.gp import predict
-
-        mean, _ = predict(gp, probe)
-        assert acquisition(gp, probe, 0.3, 0.0) == pytest.approx(mean - 0.3, abs=1e-12)
+        mean, _ = predict_batch(gp, probe[None])
+        assert acquisition(gp, probe, 0.3, 0.0) == pytest.approx(mean[0] - 0.3, abs=1e-12)
 
     def test_higher_mean_scores_higher_at_equal_sigma(self):
         # symmetric design: two probes mirrored about a lone training point
@@ -117,9 +115,7 @@ class TestAcquisition:
         x = rng.random((5, 2))
         gp = self.fit_gp(x, rng.random(5))
         probe = rng.random(2)
-        from distrel.gp import predict
-
-        mean, var = predict(gp, probe)
+        [mean], [var] = predict_batch(gp, probe[None])
         sigma = math.sqrt(var)
         above = acquisition(gp, probe, 0.4, 2.0, "above")
         below = acquisition(gp, probe, 0.4, 2.0, "below")

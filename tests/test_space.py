@@ -81,8 +81,11 @@ class TestGrid:
 
 
 def test_dict_roundtrip():
+    # the dims object of a config file, written out from the space
     space = make_space()
-    again = SearchSpace.from_dict(space.to_dict())
+    dims = [{"name": n, "lower": float(lo), "upper": float(hi)}
+            for n, lo, hi in zip(space.names, space.lowers, space.uppers)]
+    again = SearchSpace.from_dict({"dims": dims})
     assert again.names == space.names
     np.testing.assert_array_equal(again.lowers, space.lowers)
     np.testing.assert_array_equal(again.uppers, space.uppers)
