@@ -271,7 +271,7 @@ def build_oracle(cfg: dict):
     """Construct the configured oracle; runs zero accuracy evaluations."""
     synthetic = _synthetic_spec(cfg)
     if synthetic is not None:
-        return oracles_mod.make_synthetic_oracle(synthetic)
+        return synthetic
     # classifier oracle
     spec = cfg["oracle"]
     d = _classifier_dataset(spec)
@@ -298,9 +298,7 @@ def build_oracle(cfg: dict):
             full.n_classes,
         )
     classifier = oracles_mod.train_reference_classifier(train, spec["classifier"])
-    return oracles_mod.make_classifier_oracle(
-        classifier, verification, spec["rain_seed"]
-    )
+    return oracles_mod.ClassifierOracle(classifier, verification, spec["rain_seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +330,10 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def _setup(cfg: dict) -> tuple:
-    """The output directory, search space and oracle of a sampling command."""
-    return _out_dir(cfg), build_space(cfg), build_oracle(cfg)
+    """The output directory, search space and oracle of a sampling command;
+    the oracle is built first, so an unreadable dataset leaves no directory."""
+    space, oracle = build_space(cfg), build_oracle(cfg)
+    return _out_dir(cfg), space, oracle
 
 
 # ---------------------------------------------------------------------------

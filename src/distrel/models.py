@@ -201,16 +201,18 @@ class TreeModel(_Model):
         )}
 
     def predict(self, levels) -> np.ndarray:
+        """Routes all levels down the tree in one pass, node by node: a level
+        goes left where its coordinate is <= the threshold, else right (NaN too)."""
         z = self._normalize(levels)
         out = np.empty(z.shape[0], dtype=np.int64)
-        for i in range(z.shape[0]):
-            node = self.root
-            while "label" not in node:
-                if z[i, node["feature"]] <= node["threshold"]:
-                    node = node["left"]
-                else:
-                    node = node["right"]
-            out[i] = node["label"]
+        stack = [(self.root, np.arange(z.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
+            if "label" in node:
+                out[rows] = node["label"]
+                continue
+            left = z[rows, node["feature"]] <= node["threshold"]
+            stack += [(node["left"], rows[left]), (node["right"], rows[~left])]
         return out
 
 

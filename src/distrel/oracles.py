@@ -2,11 +2,10 @@
 
 Three families behind one calling convention (``oracle(level) -> float`` with
 an attached ``space``): a real classifier evaluated on a distorted
-verification set, closed-form synthetic oracles with known positive-region
-volume, and a memoizing wrapper for budget audits. Also ships a tiny
-procedural image dataset plus reference classifiers so the full pipeline runs
-with no external data, and an IDX reader so an MNIST-style subsample can be
-dropped in.
+verification set, closed-form synthetic oracles, and a memoizing wrapper for
+budget audits. Also ships a tiny procedural image dataset plus reference
+classifiers so the full pipeline runs with no external data, and an IDX reader
+so an MNIST-style subsample can be dropped in.
 
 Every answer the samplers and the grid use comes through ``query`` (one
 level) or ``evaluate_many`` (a batch), which hold the oracle contract: an
@@ -17,11 +16,12 @@ stops the caller with ``OracleError`` naming the level.
 import gzip
 import math
 import threading
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from distrel import _kernels
+from distrel import _kernels, files
 from distrel.distortion import distort_set, distortion_space
 from distrel.space import SearchSpace
 
@@ -55,14 +55,6 @@ def query(oracle, level) -> float:
     if not 0.0 <= value <= 1.0:
         raise _outside_unit(value, level)
     return value
-
-
-def evaluate_accuracy(oracle, level) -> float:
-    """``query`` after checking ``level`` against the oracle's space, if it has one."""
-    space = getattr(oracle, "space", None)
-    if space is not None:
-        level = space.validate_level(level)
-    return query(oracle, level)
 
 
 def evaluate_many(oracle, levels) -> np.ndarray:
@@ -99,7 +91,7 @@ def _unit_ball_volume(d: int) -> float:
 
 @dataclass(frozen=True)
 class SyntheticOracleSpec:
-    """Closed-form accuracy surface with a computable positive-region volume.
+    """Closed-form accuracy surface, and the oracle that answers from it.
 
     kind "box": ``inside_value`` within the axis-aligned sub-box
     [box_lower, box_upper], ``outside_value`` elsewhere.
@@ -169,94 +161,16 @@ class SyntheticOracleSpec:
             acc = np.maximum(acc, peak * np.exp(-np.sum(t * t, axis=1)))
         return acc
 
-    # -- positive-region volume ----------------------------------------------
-
-    def positive_fraction(self, h: float, grid_points: int = 13) -> float:
-        """Fraction of the box where accuracy >= h.
-
-        Exact for the box kind and for bumps whose level-set ellipsoids sit
-        inside the space without touching each other; otherwise falls back to
-        a dense-grid estimate with ``grid_points`` per dimension.
-        """
-        if not 0.0 <= h <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {h}")
-        if self.kind == "box":
-            if h <= self.outside_value:
-                return 1.0
-            if h <= self.inside_value:
-                return float(
-                    np.prod((self.box_upper - self.box_lower) / self.space.ranges)
-                )
-            return 0.0
-
-        d = self.space.dim
-        radii = []
-        for peak in self.peaks:
-            radii.append(math.sqrt(math.log(peak / h)) if peak >= h and h > 0 else None)
-        if h == 0.0:
-            return 1.0
-        active = [
-            (c, s, r)
-            for c, s, r in zip(self.centers, self.scales, radii)
-            if r is not None
-        ]
-        if not active:
-            return 0.0
-        if self._disjoint_and_interior(active):
-            vol = sum(
-                _unit_ball_volume(d) * float(np.prod(s * r)) for _, s, r in active
-            )
-            return vol / float(np.prod(self.space.ranges))
-        return self._grid_fraction(h, grid_points)
-
-    def _disjoint_and_interior(self, active) -> bool:
-        for c, s, r in active:
-            lo = c - s * r
-            hi = c + s * r
-            if np.any(lo < self.space.lowers) or np.any(hi > self.space.uppers):
-                return False
-        for i in range(len(active)):
-            for j in range(i + 1, len(active)):
-                ci, si, ri = active[i]
-                cj, sj, rj = active[j]
-                overlap = np.all(
-                    (ci - si * ri <= cj + sj * rj) & (cj - sj * rj <= ci + si * ri)
-                )
-                if overlap:
-                    return False
-        return True
-
-    def _grid_fraction(self, h: float, grid_points: int) -> float:
-        total = grid_points ** self.space.dim
-        positives = 0
-        grid = self.space.grid(grid_points)
-        for start in range(0, total, 1_000_000):
-            chunk = grid[start : start + 1_000_000]
-            positives += int(np.sum(self.evaluate(chunk) >= h))
-        return positives / total
-
-
-class SyntheticOracle:
-    """Callable wrapper over a :class:`SyntheticOracleSpec`."""
-
-    def __init__(self, spec: SyntheticOracleSpec):
-        self.spec = spec
-        self.space = spec.space
-
     def __call__(self, level) -> float:
         level = self.space.validate_level(level)
-        return float(self.spec.evaluate(level[None, :])[0])
+        return float(self.evaluate(level[None, :])[0])
 
     def evaluate_many(self, levels) -> np.ndarray:
         levels = np.atleast_2d(np.asarray(levels, dtype=np.float64))
         ok = self.space.contains(levels)
         if not np.all(ok):
             self.space.validate_level(levels[int(np.flatnonzero(~ok)[0])])
-        return self.spec.evaluate(levels)
-
-
-def make_synthetic_oracle(spec: SyntheticOracleSpec) -> SyntheticOracle:
-    return SyntheticOracle(spec)
+        return self.evaluate(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +328,6 @@ class ClassifierOracle:
         return float(np.mean(preds == self.verification.labels))
 
 
-def make_classifier_oracle(classifier, verification: VerificationSet, rain_seed: int = 0) -> ClassifierOracle:
-    return ClassifierOracle(classifier, verification, rain_seed)
-
-
 # ---------------------------------------------------------------------------
 # Caching wrapper
 # ---------------------------------------------------------------------------
@@ -490,41 +400,46 @@ def caching_oracle(inner) -> CachingOracle:
 # IDX (MNIST binary layout) loading
 # ---------------------------------------------------------------------------
 
-def _read_idx(path) -> bytes:
+def _read_idx(path, magic: int, dims: int) -> np.ndarray:
+    """The uint8 array of an IDX file whose header is ``magic`` then ``dims``
+    sizes. A file that cannot be read, holds another magic or is shorter than
+    its sizes say raises ``files.InputFileError`` naming ``path``."""
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rb") as fh:
-        return fh.read()
+    try:
+        with opener(path, "rb") as fh:
+            raw = fh.read()
+    except (OSError, EOFError, zlib.error) as exc:  # EOFError: a cut-off gzip stream
+        raise files._unreadable(path, exc) from None
+    found = int.from_bytes(raw[0:4], "big")
+    if found != magic:
+        raise files.InputFileError(f"{path}: bad IDX magic {found}, expected {magic}")
+    offset = 4 + 4 * dims
+    shape = [int.from_bytes(raw[4 + 4 * i : 8 + 4 * i], "big") for i in range(dims)]
+    count = math.prod(shape)
+    if len(raw) < offset + count:
+        raise files.InputFileError(f"{path}: truncated, {len(raw)} bytes where sizes "
+                                   f"{shape} need {offset + count}")
+    return np.frombuffer(raw, dtype=np.uint8, count=count, offset=offset).reshape(shape)
 
 
 def load_idx_images(path) -> np.ndarray:
     """Images from an IDX3 file, scaled to [0, 1], shape (n, rows, cols)."""
-    raw = _read_idx(path)
-    magic = int.from_bytes(raw[0:4], "big")
-    if magic != 2051:
-        raise ValueError(f"bad IDX image magic {magic}, expected 2051")
-    n = int.from_bytes(raw[4:8], "big")
-    rows = int.from_bytes(raw[8:12], "big")
-    cols = int.from_bytes(raw[12:16], "big")
-    data = np.frombuffer(raw, dtype=np.uint8, count=n * rows * cols, offset=16)
-    return data.reshape(n, rows, cols).astype(np.float64) / 255.0
+    return _read_idx(path, 2051, 3).astype(np.float64) / 255.0
 
 
 def load_idx_labels(path) -> np.ndarray:
-    raw = _read_idx(path)
-    magic = int.from_bytes(raw[0:4], "big")
-    if magic != 2049:
-        raise ValueError(f"bad IDX label magic {magic}, expected 2049")
-    n = int.from_bytes(raw[4:8], "big")
-    return np.frombuffer(raw, dtype=np.uint8, count=n, offset=8).astype(np.int64)
+    return _read_idx(path, 2049, 1).astype(np.int64)
 
 
 def load_idx_verification_set(images_path, labels_path) -> VerificationSet:
     images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"{images.shape[0]} images but {labels.shape[0]} labels"
+        raise files.InputFileError(
+            f"{images_path}: {images.shape[0]} images but {labels_path}: {labels.shape[0]} labels"
         )
+    if labels.size == 0:
+        raise files.InputFileError(f"{images_path} and {labels_path} hold no images")
     return VerificationSet(
         images=images, labels=labels, n_classes=int(labels.max()) + 1
     )

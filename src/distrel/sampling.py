@@ -8,15 +8,15 @@ picks the next level by maximizing
 
 The mean term points toward the minority class: as written when reliable
 levels (accuracy >= h) are the minority, and flipped to (h - mu(c)) when they
-are the majority. By default the direction follows the labels observed so far
-and is re-decided at every step, with the tie rule the rebalancers use (equal
-counts make the reliable class the minority). beta grows with the iteration
-count to keep exploring.
+are the majority. The direction follows the labels observed so far and is
+re-decided at every step, with the tie rule the rebalancers use (equal counts
+make the reliable class the minority). beta grows with the iteration count to
+keep exploring.
 
 Both samplers ask the oracle only through ``distrel.oracles``: the random
 sampler and the GP's initial draws as one ``evaluate_many`` batch, each GP
 step as one ``query``. So an oracle that fails or answers outside [0, 1]
-stops a run with ``OracleError`` (importable from here too) naming the level.
+stops a run with ``OracleError`` naming the level.
 """
 
 import math
@@ -29,7 +29,6 @@ from distrel import files
 from distrel import gp as gpmod
 from distrel import oracles
 from distrel._kernels import single_threaded_blas
-from distrel.oracles import OracleError  # noqa: F401  (re-exported)
 from distrel.space import SearchSpace
 
 DUPLICATE_SUGGESTION_TOL = 1e-9
@@ -95,23 +94,13 @@ class LabeledSet:
         return LabeledSet.from_accuracies(self.levels, self.accuracies, threshold)
 
 
-DIRECTIONS = ("auto", "above", "below")
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Knobs for the GP-guided sampling loop.
-
-    ``minority_direction`` chooses the sign of the acquisition's mean term.
-    "auto" (the default) follows the observed minority class at every step;
-    "above" pins the mean term to (mu - h), chasing reliable levels, and
-    "below" pins it to (h - mu), chasing non-reliable ones.
-    """
+    """Knobs for the GP-guided sampling loop."""
 
     budget: int
     init_count: int = 20
     delta: float = 0.1
-    minority_direction: str = "auto"
     acquisition_candidates: int = 2048
     refine_steps: int = 32
     seed: int = 0
@@ -132,11 +121,6 @@ class SamplerConfig:
             )
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.minority_direction not in DIRECTIONS:
-            raise ValueError(
-                f"minority_direction must be one of {DIRECTIONS}, "
-                f"got {self.minority_direction!r}"
-            )
         if self.acquisition_candidates < 1:
             raise ValueError(
                 f"acquisition_candidates must be >= 1, got {self.acquisition_candidates}"
@@ -201,14 +185,11 @@ def suggest_next(
     coordinate-wise hill climbing: each refinement step probes +-step along
     every axis, moves to the best improving probe, and halves the step.
     Collisions with existing training inputs get nudged by up to 0.5% of each
-    range so the next factorization stays well-posed. With the "auto"
-    direction the mean term follows the minority among the posterior's
-    training targets labeled against ``h``.
+    range so the next factorization stays well-posed. The mean term follows
+    the minority among the posterior's training targets labeled against ``h``.
     """
     d = space.dim
-    direction = cfg.minority_direction
-    if direction == "auto":
-        direction = minority_direction(gp.targets, h)
+    direction = minority_direction(gp.targets, h)
     z_cand = rng.random((cfg.acquisition_candidates, d))
     q = acquisition(gp, z_cand, h, beta, direction)
     best = int(np.argmax(q))

@@ -15,13 +15,7 @@ from distrel.distortion import apply_distortion, distortion_space, identity_leve
 from distrel.evaluation import build_grid_test_set, sweep_budget, sweep_threshold
 from distrel.gp import KernelConfig, fit, median_heuristic_lengthscales, predict_batch
 from distrel.models import logistic_loss_and_grad
-from distrel.oracles import (
-    evaluate_accuracy,
-    make_blob_verification_set,
-    make_classifier_oracle,
-    make_synthetic_oracle,
-    train_reference_classifier,
-)
+from distrel.oracles import ClassifierOracle, make_blob_verification_set, train_reference_classifier
 from distrel.presets import THRESHOLD_PRESETS, benchmark_oracle_spec
 from distrel.rebalance import smote
 from distrel.sampling import LabeledSet, SamplerConfig, run_gp_sampling, run_random_sampling
@@ -37,7 +31,7 @@ KINDS = ("logistic", "tree", "knn")
 
 
 def benchmark_oracle():
-    return make_synthetic_oracle(benchmark_oracle_spec())
+    return benchmark_oracle_spec()
 
 
 @pytest.fixture(scope="session")
@@ -224,11 +218,11 @@ def test_criterion_09_classifier_degradation():
     verification = make_blob_verification_set(200, n_classes=2, size=16, seed=100)
     train_set = make_blob_verification_set(100, n_classes=2, size=16, seed=101)
     classifier = train_reference_classifier(train_set, "nearest-centroid")
-    oracle = make_classifier_oracle(classifier, verification)
-    at_zero = evaluate_accuracy(oracle, identity_level())
+    oracle = ClassifierOracle(classifier, verification)
+    at_zero = oracle(identity_level())
     level = identity_level()
     level[1] = 60.0
-    at_sixty = evaluate_accuracy(oracle, level)
+    at_sixty = oracle(level)
     assert at_sixty <= at_zero, f"rot60 {at_sixty:.3f} vs rot0 {at_zero:.3f}"
 
 

@@ -1,7 +1,11 @@
 import csv
+import gzip
 import hashlib
 import json
 import os
+import re
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -558,6 +562,17 @@ def write_training_csv(path, fault):
     return path
 
 
+# each IDX fault: the file the message names, and what it says
+IDX_FAULTS = {
+    "missing": ("images", "No such file or directory"),
+    "bad-magic": ("images", "bad IDX magic 2049"),
+    "truncated": ("images", "truncated"),
+    "truncated-gzip": ("labels", "Compressed file ended"),
+    "empty": ("images", "hold no images"),
+    "count-mismatch": ("images", "3 images but"),
+}
+
+
 class TestMalformedInputFiles:
     @pytest.mark.parametrize("fault, where", [
         ("short-row", "line 3: 7 fields, expected 8"),
@@ -649,6 +664,31 @@ class TestMalformedInputFiles:
         assert err.startswith(f"error: {model}: ") and where in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault", IDX_FAULTS)
+    def test_bad_idx_dataset_exits_1(self, tmp_path, capsys, fault):
+        named, where = IDX_FAULTS[fault]
+        n = {"empty": 0, "count-mismatch": 3}.get(fault, 4)
+        n_labels = 0 if fault == "empty" else 4
+        images = struct.pack(">IIII", 2051, n, 2, 2) + bytes(range(4 * n))
+        labels = struct.pack(">II", 2049, n_labels) + bytes([0, 1, 0, 1][:n_labels])
+        paths = {"images": tmp_path / "images.idx3", "labels": tmp_path / "labels.idx1.gz"}
+        if fault == "bad-magic":
+            images = labels
+        elif fault == "truncated":
+            images = images[:-1]
+        paths["images"].write_bytes(images)
+        paths["labels"].write_bytes(gzip.compress(labels)[: -5 if fault == "truncated-gzip" else None])
+        if fault == "missing":
+            paths["images"].unlink()
+        dataset = {"type": "idx", "images": str(paths["images"]), "labels": str(paths["labels"]),
+                   "verification_limit": 1, "train_limit": 1}
+        path = write_config(tmp_path, oracle={"kind": "classifier", "dataset": dataset})
+        out = tmp_path / "o"
+        assert main(["sample", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(paths[named]) in err and where in err
+        assert not out.exists()
+
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 2.5e-310, 0.1, 1 / 3, 1.0, 1e308, -1e308]
 LEVEL = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
@@ -703,3 +743,11 @@ class TestLevelTableRoundTrip:
         again = cli._read_training_csv(path, self.space, 0.5)
         for name in ("levels", "labels", "weights", "is_synthetic", "parent_index"):
             assert_bits_equal(getattr(again, name), getattr(result, name))
+
+
+def test_readme_library_example_runs():
+    # the README's python block, at a budget small enough for the fast tier
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert "budget=600" in block
+    exec(compile(block.replace("budget=600", "budget=40"), "README.md", "exec"), {})

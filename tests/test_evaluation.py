@@ -18,9 +18,9 @@ from distrel.evaluation import (
     sweep_threshold,
     write_sweep_csv,
 )
-from distrel.oracles import SyntheticOracleSpec, caching_oracle, make_synthetic_oracle
+from distrel.oracles import OracleError, SyntheticOracleSpec, caching_oracle
 from distrel.presets import benchmark_oracle_spec, box_oracle_spec
-from distrel.sampling import OracleError, SamplerConfig
+from distrel.sampling import SamplerConfig
 from distrel.space import SearchSpace
 
 
@@ -33,14 +33,12 @@ def fat_oracle():
     space = plane_space()
     a = np.sqrt(0.25 / np.pi)
     r = np.sqrt(np.log(0.99 / 0.85))
-    return make_synthetic_oracle(
-        SyntheticOracleSpec(
-            kind="ellipsoid",
-            space=space,
-            centers=np.array([[0.5, 0.5]]),
-            scales=np.full((1, 2), a / r),
-            peaks=np.array([0.99]),
-        )
+    return SyntheticOracleSpec(
+        kind="ellipsoid",
+        space=space,
+        centers=np.array([[0.5, 0.5]]),
+        scales=np.full((1, 2), a / r),
+        peaks=np.array([0.99]),
     )
 
 
@@ -106,7 +104,7 @@ class TestF1:
 
 class TestGrid:
     def test_six_dim_grid_is_4096(self):
-        oracle = make_synthetic_oracle(benchmark_oracle_spec())
+        oracle = benchmark_oracle_spec()
         grid = build_grid_test_set(distortion_space(), 4, oracle, 0.85)
         assert grid.n == 4096
 
@@ -117,8 +115,7 @@ class TestGrid:
 
     def test_box_oracle_positives_match_membership(self):
         spec = box_oracle_spec(positive_fraction=0.05)
-        oracle = make_synthetic_oracle(spec)
-        grid = build_grid_test_set(spec.space, 4, oracle, 0.9)
+        grid = build_grid_test_set(spec.space, 4, spec, 0.9)
         inside = np.all(
             (grid.levels >= spec.box_lower) & (grid.levels <= spec.box_upper), axis=1
         )
@@ -148,9 +145,8 @@ class TestRunExperiment:
         # a tiny budget with a high threshold gives zero positives for the
         # random sampler, so smote/training must fail in-cell
         spec = box_oracle_spec(positive_fraction=0.001)
-        oracle = make_synthetic_oracle(spec)
         report = run_experiment(
-            oracle, spec.space, 0.9,
+            spec, spec.space, 0.9,
             **fast_kwargs(budget=25, init_count=8, samplers=("random",)),
         )
         failed = [c for c in report.cells if c.error is not None]

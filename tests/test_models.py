@@ -180,22 +180,36 @@ class TestTree:
         assert np.mean(model.predict(levels) == labels) == 1.0
 
     def test_manual_walk_matches_predict(self):
-        rng = np.random.default_rng(4)
-        levels = rng.random((80, 3))
-        labels = (levels[:, 1] > 0.4).astype(np.int64)
-        space = unit_space(3)
-        model = train("tree", data := plain_set(levels, labels), space)
-        doc = model.to_dict()
-
+        # trees from random weighted sets, against a walk of one level at a
+        # time; probes include every split's threshold, which goes left, and
+        # NaN coordinates, which go right
         def walk(node, z):
             while "label" not in node:
                 node = node["left"] if z[node["feature"]] <= node["threshold"] else node["right"]
             return node["label"]
 
-        probes = rng.random((20, 3))
-        z = (probes - space.lowers) / (space.uppers - space.lowers)
-        manual = [walk(doc["params"]["root"], zi) for zi in z]
-        np.testing.assert_array_equal(model.predict(probes), manual)
+        rng = np.random.default_rng(4)
+        space = unit_space(3)  # the unit cube, so a probe's level is its z
+        for _ in range(10):
+            levels = rng.random((200, 3))
+            labels = (levels[:, 1] + 0.3 * rng.standard_normal(200) > 0.4).astype(np.int64)
+            weights = rng.uniform(0.1, 2.0, 200)
+            model = train("tree", plain_set(levels, labels, weights), space)
+            root = model.to_dict()["params"]["root"]
+            probes = [rng.random((100, 3))]
+            nodes = [root]
+            while nodes:
+                node = nodes.pop()
+                if "label" not in node:
+                    on_split = rng.random((2, 3))
+                    on_split[:, node["feature"]] = node["threshold"]
+                    probes.append(on_split)
+                    nodes += [node["left"], node["right"]]
+            probes = np.vstack(probes)
+            assert len(probes) > 110
+            probes[rng.random(probes.shape) < 0.05] = np.nan
+            manual = [walk(root, z) for z in probes]
+            np.testing.assert_array_equal(model.predict(probes), manual)
 
     def test_respects_weights(self):
         # same majority class by count, flipped by weights

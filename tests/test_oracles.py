@@ -6,24 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distrel import _kernels, cli, sampling
+from distrel import _kernels, cli
 from distrel.distortion import DISTORTION_DIMS, apply_distortion, distortion_space, identity_level
 from distrel.evaluation import build_grid_test_set
 from distrel.oracles import (
     CachingOracle,
+    ClassifierOracle,
     KnnImageClassifier,
     OracleError,
     SyntheticOracleSpec,
     VerificationSet,
     _unit_ball_volume,
     caching_oracle,
-    evaluate_accuracy,
     load_idx_images,
     load_idx_labels,
     load_idx_verification_set,
     make_blob_verification_set,
-    make_classifier_oracle,
-    make_synthetic_oracle,
     train_reference_classifier,
 )
 from distrel.presets import benchmark_oracle_spec, box_oracle_spec, multimodal_oracle_spec
@@ -50,50 +48,45 @@ def ellipsoid_spec(space, fraction, h=0.85, peak=0.99):
 
 
 class TestSyntheticOracles:
-    def test_box_indicator_fraction(self):
-        spec = box_oracle_spec(positive_fraction=0.03)
-        assert spec.positive_fraction(0.9) == pytest.approx(0.03, rel=1e-9)
-        assert spec.positive_fraction(0.4) == 1.0  # below the outside value
-        assert spec.positive_fraction(0.995) == 0.0
-
     def test_box_values(self):
         spec = box_oracle_spec(positive_fraction=0.1)
-        oracle = make_synthetic_oracle(spec)
         center = (spec.space.lowers + spec.space.uppers) / 2.0
-        assert oracle(center) == 0.99
-        assert oracle(spec.space.lowers) == 0.5
+        assert spec(center) == 0.99
+        assert spec(spec.space.lowers) == 0.5
 
     def test_ellipsoid_center_is_peak(self):
         spec = benchmark_oracle_spec()
-        oracle = make_synthetic_oracle(spec)
-        assert oracle(spec.centers[0]) == pytest.approx(0.99, abs=1e-12)
+        assert spec(spec.centers[0]) == pytest.approx(0.99, abs=1e-12)
 
     def test_ellipsoid_grid_enumeration_matches_closed_form(self):
         # independent membership test on a 9-per-dim lattice; the region is
         # small enough that lattice quantization stays inside the tolerance
         spec = ellipsoid_spec(distortion_space(), fraction=0.008)
-        closed = spec.positive_fraction(0.85)
         grid = spec.space.grid(9)
         r2 = np.log(spec.peaks[0] / 0.85)
         member = np.sum(((grid - spec.centers[0]) / spec.scales[0]) ** 2, axis=1) <= r2
-        assert abs(closed - member.mean()) < 0.005
+        assert abs(0.008 - member.mean()) < 0.005
 
     @pytest.mark.parametrize(
-        "spec,h",
+        "spec,h,fraction",
         [
-            (benchmark_oracle_spec(), 0.85),
-            (box_oracle_spec(), 0.9),
-            (multimodal_oracle_spec(), 0.85),
+            (benchmark_oracle_spec(positive_fraction=0.03), 0.85, 0.03),
+            (box_oracle_spec(positive_fraction=0.03), 0.9, 0.03),
+            (multimodal_oracle_spec(), 0.85, None),
         ],
         ids=["ellipsoid", "box", "multimodal"],
     )
-    def test_positive_fraction_matches_monte_carlo(self, spec, h):
+    def test_positive_fraction_matches_monte_carlo(self, spec, h, fraction):
+        # {accuracy >= h} fills the share of the box each preset was built
+        # for; multimodal's two disjoint bumps fill under 1 % together
         rng = np.random.default_rng(123)
         pts = spec.space.denormalize(rng.random((1_000_000, spec.space.dim)))
         hits = float(np.mean(spec.evaluate(pts) >= h))
-        claimed = spec.positive_fraction(h)
-        se = max(np.sqrt(hits * (1.0 - hits) / 1e6), 1e-9)
-        assert abs(hits - claimed) <= 3.0 * se
+        if fraction is None:
+            assert 0.0 < hits < 0.01
+        else:
+            se = max(np.sqrt(hits * (1.0 - hits) / 1e6), 1e-9)
+            assert abs(hits - fraction) <= 3.0 * se
 
     def test_values_stay_in_unit_interval(self):
         rng = np.random.default_rng(5)
@@ -103,10 +96,12 @@ class TestSyntheticOracles:
         assert acc.min() >= 0.0 and acc.max() <= 1.0
 
     def test_out_of_space_level_rejected(self):
-        oracle = make_synthetic_oracle(benchmark_oracle_spec())
+        oracle = benchmark_oracle_spec()
         bad = oracle.space.uppers + 1.0
         with pytest.raises(ValueError, match="outside"):
-            evaluate_accuracy(oracle, bad)
+            oracle(bad)
+        with pytest.raises(ValueError, match="outside"):
+            oracle.evaluate_many([oracle.space.lowers, bad])
 
     def test_malformed_spec_rejected(self):
         space = small_space()
@@ -214,15 +209,15 @@ class TestClassifierOracle:
 
         labels = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1, 1])  # 30% class 0
         vs = VerificationSet(np.random.default_rng(0).random((10, 16, 16)), labels, 2)
-        oracle = make_classifier_oracle(AlwaysZero(), vs)
+        oracle = ClassifierOracle(AlwaysZero(), vs)
         for lv in (identity_level(), np.array([1.1, 30.0, 0.1, -0.1, 0.8, 0.5])):
-            assert evaluate_accuracy(oracle, lv) == pytest.approx(0.3)
+            assert oracle(lv) == pytest.approx(0.3)
 
     def test_perfect_memory_at_identity(self):
         vs = make_blob_verification_set(20, n_classes=2, size=12, seed=5)
         clf = train_reference_classifier(vs, "k-nn")  # trained on the same set
-        oracle = make_classifier_oracle(clf, vs)
-        assert evaluate_accuracy(oracle, identity_level()) == 1.0
+        oracle = ClassifierOracle(clf, vs)
+        assert oracle(identity_level()) == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -241,22 +236,22 @@ class TestClassifierOracle:
         vs = make_blob_verification_set(10, n_classes=2, size=12, seed=6)
         train = make_blob_verification_set(40, n_classes=2, size=12, seed=7)
         clf = train_reference_classifier(train, kind)
-        oracle = make_classifier_oracle(clf, vs, rain_seed=rain_seed)
+        oracle = ClassifierOracle(clf, vs, rain_seed=rain_seed)
         per_image = [
             int(clf.predict(apply_distortion(img, lv, rain_seed + i)[None])[0] == y)
             for i, (img, y) in enumerate(zip(vs.images, vs.labels))
         ]
-        assert evaluate_accuracy(oracle, lv) == sum(per_image) / 10.0
+        assert oracle(lv) == sum(per_image) / 10.0
 
     def test_rotation_degrades_accuracy(self):
         vs = make_blob_verification_set(200, n_classes=2, size=16, seed=8)
         train = make_blob_verification_set(100, n_classes=2, size=16, seed=9)
         clf = train_reference_classifier(train, "nearest-centroid")
-        oracle = make_classifier_oracle(clf, vs)
-        at_zero = evaluate_accuracy(oracle, identity_level())
+        oracle = ClassifierOracle(clf, vs)
+        at_zero = oracle(identity_level())
         rotated = identity_level()
         rotated[1] = 60.0
-        at_sixty = evaluate_accuracy(oracle, rotated)
+        at_sixty = oracle(rotated)
         assert at_sixty <= at_zero
 
     def test_shape_mismatch_rejected(self):
@@ -264,14 +259,14 @@ class TestClassifierOracle:
         other = make_blob_verification_set(10, n_classes=2, size=16, seed=10)
         clf = train_reference_classifier(other, "nearest-centroid")
         with pytest.raises(ValueError, match="shape"):
-            make_classifier_oracle(clf, vs)
+            ClassifierOracle(clf, vs)
 
     def test_deterministic(self):
         vs = make_blob_verification_set(30, n_classes=2, size=12, seed=12)
         clf = train_reference_classifier(vs, "nearest-centroid")
-        oracle = make_classifier_oracle(clf, vs, rain_seed=5)
+        oracle = ClassifierOracle(clf, vs, rain_seed=5)
         lv = np.array([1.2, 45.0, -0.1, 0.1, 0.75, 0.9])
-        assert evaluate_accuracy(oracle, lv) == evaluate_accuracy(oracle, lv)
+        assert oracle(lv) == oracle(lv)
 
 
 class TestCachingOracle:
@@ -432,7 +427,7 @@ class _FaultyBatchOracle(_FaultyOracle):
 
 
 BOUNDARY_SPACE = small_space()
-BOUNDARY_BUMP = make_synthetic_oracle(ellipsoid_spec(BOUNDARY_SPACE, 0.25))
+BOUNDARY_BUMP = ellipsoid_spec(BOUNDARY_SPACE, 0.25)
 BOUNDARY_RUNS = {
     "random": lambda oracle: run_random_sampling(oracle, BOUNDARY_SPACE, 0.85, 12, 3),
     "gp": lambda oracle: run_gp_sampling(oracle, BOUNDARY_SPACE, 0.85, SamplerConfig(
@@ -466,11 +461,3 @@ class TestOracleBoundary:
 
         with pytest.raises(OracleError, match="answers for 16 levels"):
             build_grid_test_set(BOUNDARY_SPACE, 4, Short(), 0.85)
-
-    def test_evaluate_accuracy_refuses_nan(self):
-        oracle = _FaultyOracle(BOUNDARY_BUMP, np.array([0.5, 0.5]), np.nan)
-        with pytest.raises(OracleError, match="nan outside"):
-            evaluate_accuracy(oracle, [0.5, 0.5])
-
-    def test_sampling_reexports_oracle_error(self):
-        assert sampling.OracleError is OracleError

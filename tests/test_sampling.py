@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from distrel.gp import KernelConfig, fit, predict_batch
+from distrel.oracles import OracleError
 from distrel.sampling import (
     LabeledSet,
-    OracleError,
     SamplerConfig,
     _PairwiseDiffTracker,
     acquisition,
@@ -245,12 +245,6 @@ class TestMinorityDirection:
         assert minority_direction([0.1, 0.95], 0.9) == "above"
         assert minority_direction([0.9, 0.1], 0.9) == "above"  # accuracy == h is reliable
 
-    def test_config_accepts_auto_and_pins(self):
-        assert SamplerConfig(budget=10, init_count=2).minority_direction == "auto"
-        for direction in ("above", "below"):
-            cfg = SamplerConfig(budget=10, init_count=2, minority_direction=direction)
-            assert cfg.minority_direction == direction
-
 
 class TestGpSampling:
     def test_minimal_loop_appends_one_point(self):
@@ -298,23 +292,6 @@ class TestGpSampling:
         rnd_ls = run_random_sampling(oracle, space, 0.1, 80, 4)
         assert gp_ls.n - gp_ls.positive_count > rnd_ls.n - rnd_ls.positive_count
 
-    def test_pinned_above_keeps_fixed_sign_picks(self):
-        # picks and labels recorded from the sampler whose mean term was
-        # always (mu - h): on the dip it keeps chasing reliable levels
-        space = unit_space(2)
-        cfg = SamplerConfig(budget=80, init_count=15, acquisition_candidates=512,
-                            refine_steps=8, seed=4, minority_direction="above")
-        ls = run_gp_sampling(quadratic_dip_oracle(space), space, 0.1, cfg)
-        expected = np.array([
-            [0.0, 1.0],
-            [0.0, 0.0],
-            [0.0, 0.31886530967915167],
-            [0.0, 0.7484318414242039],
-            [0.2819999640873463, 0.0],
-        ])
-        np.testing.assert_allclose(ls.levels[15:20], expected, rtol=0, atol=1e-12)
-        assert ls.positive_count == 79
-
     def test_labels_follow_threshold(self):
         space = unit_space(2)
         cfg = SamplerConfig(budget=25, init_count=8, acquisition_candidates=128,
@@ -331,10 +308,6 @@ class TestSamplerConfigValidation:
     def test_delta_range(self):
         with pytest.raises(ValueError, match="delta"):
             SamplerConfig(budget=10, init_count=2, delta=0.0)
-
-    def test_direction_values(self):
-        with pytest.raises(ValueError, match="minority_direction"):
-            SamplerConfig(budget=10, init_count=2, minority_direction="sideways")
 
 
 class TestLabeledSet:
