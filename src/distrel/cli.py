@@ -297,6 +297,10 @@ def build_oracle(cfg: dict):
             full.labels[n_ver : n_ver + n_train],
             full.n_classes,
         )
+        missing = np.flatnonzero(np.bincount(train.labels, minlength=train.n_classes) == 0)
+        if missing.size:
+            raise files.InputFileError(f"{d['labels']}: the training slice has no image "
+                                       f"of classes {missing.tolist()}")
     classifier = oracles_mod.train_reference_classifier(train, spec["classifier"])
     return oracles_mod.ClassifierOracle(classifier, verification, spec["rain_seed"])
 

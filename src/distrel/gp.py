@@ -2,10 +2,15 @@
 
 Squared-exponential kernel with per-dimension lengthscales, zero prior mean,
 exact inference through a Cholesky factorization. Inputs are expected on the
-unit cube (the sampler normalizes before fitting); targets are accuracies in
-[0, 1]. There is no observation-noise term: accuracy evaluation is
-deterministic here, and a small diagonal jitter alone keeps the factorization
-stable.
+unit cube (the sampler normalizes before fitting). There is no
+observation-noise term: accuracy evaluation is deterministic here, and a small
+diagonal jitter alone keeps the factorization stable.
+
+``fit`` checks call shapes only. Its two data preconditions are each enforced
+once, where they can arise: inputs are distinct (the sampler draws its first
+ones uniformly, and ``sampling.suggest_next`` keeps each later pick more than
+1e-9 from earlier inputs), and targets are accuracies in [0, 1]
+(``oracles.query`` and ``oracles.evaluate_many`` refuse any other answer).
 """
 
 from dataclasses import dataclass
@@ -18,7 +23,6 @@ from distrel import _kernels
 
 JITTER_CEILING = 1e-4
 LENGTHSCALE_FLOOR = 1e-3
-DUPLICATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,7 @@ class GpPosterior:
 
     ``chol`` is the lower-triangular L with L @ L.T = K + jitter_used * I and
     ``alpha`` solves (K + jitter_used * I) @ alpha = targets. ``chol_inv``
-    caches L^-1 so batched variance reduces to one matrix product. Immutable,
-    so a fitted posterior is safe for concurrent read-only prediction.
+    caches L^-1 so batched variance reduces to one matrix product.
     """
 
     inputs: np.ndarray
@@ -79,20 +82,16 @@ def kernel_eval(a, b, cfg: KernelConfig) -> float:
     return float(cfg.signal_variance * np.exp(-0.5 * np.dot(t, t)))
 
 
-def _kernel_matrix(x, z, cfg: KernelConfig) -> np.ndarray:
-    return _kernels.rbf_cross(
-        np.ascontiguousarray(x), np.ascontiguousarray(z),
-        cfg.lengthscales, cfg.signal_variance,
-    )
-
-
 def fit(points, values, cfg: KernelConfig) -> GpPosterior:
     """Fit the GP to observed (point, value) pairs.
 
     Escalates the diagonal jitter by factors of 10 (up to ``JITTER_CEILING``)
-    if the Cholesky factorization fails, then gives up.
+    if the Cholesky factorization fails, then gives up. Preconditions, not
+    checked here: the points are distinct, as ``sampling.suggest_next``
+    guarantees, and the values lie in [0, 1], as the oracle boundary in
+    ``oracles`` guarantees.
     """
-    x = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    x = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=np.float64)))
     y = np.asarray(values, dtype=np.float64).reshape(-1)
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"{x.shape[0]} points but {y.shape[0]} values")
@@ -102,11 +101,8 @@ def fit(points, values, cfg: KernelConfig) -> GpPosterior:
         raise ValueError(
             f"points have dimension {x.shape[1]}, kernel has {cfg.dim}"
         )
-    if not np.all((y >= 0.0) & (y <= 1.0)):
-        raise ValueError("target values must lie in [0, 1]")
-    _check_duplicates(x)
 
-    k = _kernel_matrix(x, x, cfg)
+    k = _kernels.rbf_cross(x, x, cfg.lengthscales, cfg.signal_variance)
     jitter = cfg.jitter if cfg.jitter > 0 else 1e-10
     eye = np.eye(x.shape[0])
     while True:
@@ -124,42 +120,9 @@ def fit(points, values, cfg: KernelConfig) -> GpPosterior:
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular inversion failed (info={info})")
     return GpPosterior(
-        inputs=np.ascontiguousarray(x), targets=y, kernel=cfg, chol=lower,
+        inputs=x, targets=y, kernel=cfg, chol=lower,
         alpha=alpha, chol_inv=np.ascontiguousarray(lower_inv), jitter_used=jitter,
     )
-
-
-def _check_duplicates(x: np.ndarray) -> None:
-    """Raise on the first pair of rows that match to within ``DUPLICATE_TOL``.
-
-    "First" is the order of a scan over the rows sorted on their first
-    coordinate: the lowest later row of a pair, then its nearest earlier
-    match.
-    """
-    n, d = x.shape
-    if n < 2:
-        return
-    # Sorted on the first coordinate, matching rows sit in one run of rows
-    # whose neighbours are tied on it to within the tolerance. Each run is
-    # compared all against all, one coordinate per step.
-    order = np.argsort(x[:, 0], kind="stable")
-    xs = x[order]
-    tied = (np.diff(xs[:, 0]) <= DUPLICATE_TOL).astype(np.int8)
-    edges = np.diff(np.concatenate(([0], tied, [0])))
-    for start, stop in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) + 1):
-        run = xs[start:stop]
-        close = np.tri(len(run), k=-1, dtype=bool)  # close[i, j] needs j < i
-        for k in range(d):
-            close &= np.abs(run[:, None, k] - run[None, :, k]) <= DUPLICATE_TOL
-        rows = np.flatnonzero(close.any(axis=1))
-        if rows.size:
-            i = start + rows[0]
-            j = start + np.flatnonzero(close[rows[0]])[-1]
-            a, b = sorted((int(order[j]), int(order[i])))
-            raise ValueError(
-                f"duplicate training points at indices {a} and {b}: "
-                f"{x[a]} vs {x[b]}"
-            )
 
 
 def _predict_raw(gp: GpPosterior, z: np.ndarray) -> tuple:

@@ -15,7 +15,6 @@ stops the caller with ``OracleError`` naming the level.
 
 import gzip
 import math
-import threading
 import zlib
 from dataclasses import dataclass
 
@@ -333,13 +332,12 @@ class ClassifierOracle:
 # ---------------------------------------------------------------------------
 
 class CachingOracle:
-    """Memoizes by exact level coordinates; safe under concurrent queries."""
+    """Memoizes by exact level coordinates."""
 
     def __init__(self, inner):
         self.inner = inner
         self.space = getattr(inner, "space", None)
         self._cache = {}
-        self._lock = threading.Lock()
         self.inner_calls = 0
         self.queries = 0
 
@@ -350,15 +348,11 @@ class CachingOracle:
 
     def __call__(self, level) -> float:
         key = self._keys(level)[0]
-        with self._lock:
-            self.queries += 1
-            if key in self._cache:
-                return self._cache[key]
-        value = float(self.inner(level))
-        with self._lock:
-            self._cache[key] = value
+        self.queries += 1
+        if key not in self._cache:
+            self._cache[key] = float(self.inner(level))
             self.inner_calls += 1
-        return value
+        return self._cache[key]
 
     def evaluate_many(self, levels) -> np.ndarray:
         """The cached accuracy at each row of ``levels``.
@@ -368,14 +362,12 @@ class CachingOracle:
         ``evaluate_many`` batch, and each counts as one inner call.
         """
         keys = self._keys(levels)
-        with self._lock:
-            self.queries += len(keys)
-            misses = list(dict.fromkeys(key for key in keys if key not in self._cache))
+        self.queries += len(keys)
+        misses = list(dict.fromkeys(key for key in keys if key not in self._cache))
         if misses:
             values = evaluate_many(self.inner, np.array(misses))
-            with self._lock:
-                self._cache.update(zip(misses, values.tolist()))
-                self.inner_calls += len(misses)
+            self._cache.update(zip(misses, values.tolist()))
+            self.inner_calls += len(misses)
         return np.array([self._cache[key] for key in keys])
 
     def record(self, levels, values) -> None:
@@ -384,12 +376,11 @@ class CachingOracle:
         Each level not cached yet counts as one query and one inner call, as
         if it had been queried here; cached levels are left as they are.
         """
-        with self._lock:
-            for key, value in zip(self._keys(levels), values):
-                if key not in self._cache:
-                    self._cache[key] = float(value)
-                    self.queries += 1
-                    self.inner_calls += 1
+        for key, value in zip(self._keys(levels), values):
+            if key not in self._cache:
+                self._cache[key] = float(value)
+                self.queries += 1
+                self.inner_calls += 1
 
 
 def caching_oracle(inner) -> CachingOracle:

@@ -135,12 +135,6 @@ def minority_label(labels) -> int:
     return 1 if 2 * int(np.sum(labels)) <= labels.size else 0
 
 
-def minority_direction(accuracies, h: float) -> str:
-    """"above" when reliable levels (accuracy >= h) are the minority, else "below"."""
-    labels = np.asarray(accuracies) >= h
-    return "above" if minority_label(labels) == 1 else "below"
-
-
 def beta_coefficient(t: int, d: int, delta: float) -> float:
     """Exploration coefficient 2 * [ln(d * t * pi^2) - ln(6 * delta)].
 
@@ -157,18 +151,17 @@ def beta_coefficient(t: int, d: int, delta: float) -> float:
     return 2.0 * (math.log(d * t * math.pi**2) - math.log(6.0 * delta))
 
 
-def acquisition(gp, points, h: float, beta: float, direction: str = "above") -> np.ndarray:
+def acquisition(gp, points, h: float, beta: float, sign: float = 1.0) -> np.ndarray:
     """Score each row of ``points`` (or a single level) against the posterior;
-    higher is more promising.
+    higher is more promising. ``sign`` is +1.0 or -1.0, the direction of the
+    mean term.
 
     ``points`` must be in the coordinate system the posterior was fitted in.
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    if direction not in ("above", "below"):
-        raise ValueError(f"direction must be 'above' or 'below', got {direction!r}")
     mean, var = gpmod.predict_batch(gp, points)
-    return beta * np.sqrt(var) + (mean - h if direction == "above" else h - mean)
+    return beta * np.sqrt(var) + sign * (mean - h)
 
 
 def suggest_next(
@@ -189,9 +182,9 @@ def suggest_next(
     the minority among the posterior's training targets labeled against ``h``.
     """
     d = space.dim
-    direction = minority_direction(gp.targets, h)
+    sign = 1.0 if minority_label(gp.targets >= h) == 1 else -1.0
     z_cand = rng.random((cfg.acquisition_candidates, d))
-    q = acquisition(gp, z_cand, h, beta, direction)
+    q = acquisition(gp, z_cand, h, beta, sign)
     best = int(np.argmax(q))
     z_best = z_cand[best].copy()
     q_best = q[best]
@@ -202,7 +195,7 @@ def suggest_next(
         probes = np.repeat(z_best[None, :], 2 * d, axis=0)
         probes[2 * rows, rows] = np.minimum(z_best + step, 1.0)
         probes[2 * rows + 1, rows] = np.maximum(z_best - step, 0.0)
-        q_probe = acquisition(gp, probes, h, beta, direction)
+        q_probe = acquisition(gp, probes, h, beta, sign)
         k = int(np.argmax(q_probe))
         if q_probe[k] > q_best:
             z_best = probes[k].copy()
@@ -248,8 +241,6 @@ class _PairwiseDiffTracker:
         self._n += 1
 
     def lengthscales(self) -> np.ndarray:
-        if self._n < 2:
-            raise ValueError("median heuristic needs at least 2 points")
         m = self._sorted[0].size
         half = m // 2
         if m % 2:

@@ -570,6 +570,7 @@ IDX_FAULTS = {
     "truncated-gzip": ("labels", "Compressed file ended"),
     "empty": ("images", "hold no images"),
     "count-mismatch": ("images", "3 images but"),
+    "missing-class": ("labels", "training slice has no image of classes [1, 2]"),
 }
 
 
@@ -671,6 +672,12 @@ class TestMalformedInputFiles:
         n_labels = 0 if fault == "empty" else 4
         images = struct.pack(">IIII", 2051, n, 2, 2) + bytes(range(4 * n))
         labels = struct.pack(">II", 2049, n_labels) + bytes([0, 1, 0, 1][:n_labels])
+        limit = 1
+        if fault == "missing-class":
+            # classes 1 and 2 sit only in the verification slice
+            n, limit = 6, 3
+            images = struct.pack(">IIII", 2051, n, 2, 2) + bytes(range(4 * n))
+            labels = struct.pack(">II", 2049, n) + bytes([0, 1, 2, 0, 0, 0])
         paths = {"images": tmp_path / "images.idx3", "labels": tmp_path / "labels.idx1.gz"}
         if fault == "bad-magic":
             images = labels
@@ -681,7 +688,7 @@ class TestMalformedInputFiles:
         if fault == "missing":
             paths["images"].unlink()
         dataset = {"type": "idx", "images": str(paths["images"]), "labels": str(paths["labels"]),
-                   "verification_limit": 1, "train_limit": 1}
+                   "verification_limit": limit, "train_limit": limit}
         path = write_config(tmp_path, oracle={"kind": "classifier", "dataset": dataset})
         out = tmp_path / "o"
         assert main(["sample", "--config", str(path), "--out", str(out)]) == 1

@@ -12,7 +12,7 @@ from distrel.sampling import (
     acquisition,
     beta_coefficient,
     load_labeled_set,
-    minority_direction,
+    minority_label,
     run_gp_sampling,
     run_random_sampling,
     save_labeled_set,
@@ -117,8 +117,8 @@ class TestAcquisition:
         probe = rng.random(2)
         [mean], [var] = predict_batch(gp, probe[None])
         sigma = math.sqrt(var)
-        above = acquisition(gp, probe, 0.4, 2.0, "above")
-        below = acquisition(gp, probe, 0.4, 2.0, "below")
+        above = acquisition(gp, probe, 0.4, 2.0, 1.0)
+        below = acquisition(gp, probe, 0.4, 2.0, -1.0)
         assert above == pytest.approx(2.0 * sigma + (mean - 0.4), abs=1e-12)
         assert below == pytest.approx(2.0 * sigma + (0.4 - mean), abs=1e-12)
 
@@ -141,9 +141,9 @@ class TestSuggestNext:
         suggestion = suggest_next(gp, space, 0.9, 0.5, cfg, rng)
 
         dense = np.linspace(0, 1, 4001)[:, None]
-        q_dense = acquisition(gp, dense, 0.9, 0.5, "above")
+        q_dense = acquisition(gp, dense, 0.9, 0.5)
         q_best = q_dense.max()
-        q_sugg = acquisition(gp, suggestion[None, :], 0.9, 0.5, "above")[0]
+        q_sugg = acquisition(gp, suggestion[None, :], 0.9, 0.5)[0]
         assert q_sugg >= q_best - 1e-6
 
     def test_flat_posterior_stays_in_bounds(self):
@@ -169,17 +169,20 @@ class TestSuggestNext:
         assert np.array_equal(s1, s2)
 
     def test_never_duplicates_training_input(self):
-        # peaked acquisition right on an existing input: must get nudged off it
+        # peaked acquisition right on an existing input: must get nudged off
+        # it. The hill climb clips to the box, so it lands exactly on a peak
+        # in a corner, which only the nudge moves off.
         space = unit_space(2)
-        x = np.array([[0.5, 0.5], [0.1, 0.1], [0.9, 0.9]])
-        y = np.array([0.99, 0.01, 0.01])
-        gp = fit(x, y, KernelConfig(np.full(2, 0.05), 0.2, jitter=1e-10))
         cfg = SamplerConfig(budget=10, init_count=2, acquisition_candidates=256,
                             refine_steps=40, seed=1)
-        for seed in range(5):
-            s = suggest_next(gp, space, 0.9, 0.0, cfg, np.random.default_rng(seed))
-            gaps = np.max(np.abs(gp.inputs - space.normalize(s)), axis=1)
-            assert gaps.min() > 1e-9
+        for peak in ([0.5, 0.5], [1.0, 1.0]):
+            x = np.array([peak, [0.1, 0.1], [0.9, 0.9]])
+            y = np.array([0.99, 0.01, 0.01])
+            gp = fit(x, y, KernelConfig(np.full(2, 0.05), 0.2, jitter=1e-10))
+            for seed in range(5):
+                s = suggest_next(gp, space, 0.9, 0.0, cfg, np.random.default_rng(seed))
+                gaps = np.max(np.abs(gp.inputs - space.normalize(s)), axis=1)
+                assert gaps.min() > 1e-9
 
 
 class TestRandomSampling:
@@ -237,13 +240,20 @@ def quadratic_dip_oracle(space):
 
 
 class TestMinorityDirection:
+    """``minority_label`` on labels against h sets ``suggest_next``'s sign:
+    +1.0 when reliable levels (accuracy >= h) are the minority, else -1.0."""
+
+    @staticmethod
+    def minority(accuracies, h):
+        return minority_label(np.asarray(accuracies) >= h)
+
     def test_follows_the_smaller_class(self):
-        assert minority_direction([0.1, 0.2, 0.95], 0.9) == "above"
-        assert minority_direction([0.95, 0.92, 0.1], 0.9) == "below"
+        assert self.minority([0.1, 0.2, 0.95], 0.9) == 1
+        assert self.minority([0.95, 0.92, 0.1], 0.9) == 0
 
     def test_tie_counts_reliable_as_minority(self):
-        assert minority_direction([0.1, 0.95], 0.9) == "above"
-        assert minority_direction([0.9, 0.1], 0.9) == "above"  # accuracy == h is reliable
+        assert self.minority([0.1, 0.95], 0.9) == 1
+        assert self.minority([0.9, 0.1], 0.9) == 1  # accuracy == h is reliable
 
 
 class TestGpSampling:
@@ -264,15 +274,19 @@ class TestGpSampling:
         assert np.array_equal(a.accuracies, b.accuracies)
 
     def test_levels_in_bounds_and_distinct(self):
+        # suggest_next is the only guard against a repeated GP input. The dip
+        # makes reliable levels the majority, so the -1 sign drives every
+        # step and picks stack on the box faces.
         space = SearchSpace(("a", "b"), np.array([-1.0, 5.0]), np.array([1.0, 6.0]))
         cfg = SamplerConfig(budget=40, init_count=10, acquisition_candidates=256,
                             refine_steps=8, seed=2)
-        ls = run_gp_sampling(quadratic_bump_oracle(space), space, 0.5, cfg)
-        assert np.all(space.contains(ls.levels))
-        z = space.normalize(ls.levels)
-        d = np.max(np.abs(z[:, None, :] - z[None, :, :]), axis=2)
-        d[np.diag_indices(ls.n)] = 1.0
-        assert d.min() > 1e-9
+        for oracle in (quadratic_bump_oracle(space), quadratic_dip_oracle(space)):
+            ls = run_gp_sampling(oracle, space, 0.5, cfg)
+            assert np.all(space.contains(ls.levels))
+            z = space.normalize(ls.levels)
+            d = np.max(np.abs(z[:, None, :] - z[None, :, :]), axis=2)
+            d[np.diag_indices(ls.n)] = 1.0
+            assert d.min() > 1e-9
 
     def test_finds_more_positives_than_random(self):
         space = unit_space(2)
