@@ -76,9 +76,13 @@ def _as_stack(images) -> np.ndarray:
         )
     if shape[0] < 1 or shape[1] < 1:
         raise ValueError(f"image must have positive size, got shape {shape}")
-    if stack.size and (stack.min() < 0.0 or stack.max() > 1.0):
-        raise ValueError("pixel values must lie in [0, 1]")
     return stack
+
+
+def check_pixel_range(images) -> None:
+    """Raise ValueError unless every pixel value lies in [0, 1] (NaN does not)."""
+    if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
+        raise ValueError("pixel values must lie in [0, 1]")
 
 
 def _inverse_affine(width, height, scale, rotation_deg, tx, ty):
@@ -145,18 +149,22 @@ def apply_distortion(img, level, rain_seed: int = 0) -> np.ndarray:
     return distort_set([img], level, rain_seed)[0]
 
 
-def distort_set(images, level, rain_seed: int = 0):
+def distort_set(images, level, rain_seed: int = 0, check_pixels: bool = True):
     """Distort same-shape images at one level in one pass over their stack.
 
     Image i uses rain seed ``rain_seed + i``. Returns the distorted images as
     one (n, *image shape) array, or ``[]`` when there are none. Images of
-    different shapes raise ``ValueError``.
+    different shapes, or pixel values outside [0, 1], raise ``ValueError``.
+    ``check_pixels=False`` skips the pixel check, for a stack whose range was
+    checked once when it was built (``oracles.VerificationSet``).
     """
     level = _SPACE.validate_level(level)
     scale, rotation, tx, ty, darkness, rain = level
     if len(images) == 0:
         return []
     stack = _as_stack(images)
+    if check_pixels:
+        check_pixel_range(stack)
     n, height, width = stack.shape[:3]
 
     m00, m01, b0, m10, m11, b1 = _inverse_affine(width, height, scale, rotation, tx, ty)

@@ -6,6 +6,12 @@ unit cube (the sampler normalizes before fitting). There is no
 observation-noise term: accuracy evaluation is deterministic here, and a small
 diagonal jitter alone keeps the factorization stable.
 
+The jitter is relative to the signal variance, so L factors the unit-variance
+matrix R + jitter * I: the mean does not depend on the signal variance and the
+variance scales with it, so the signal level can change without a refactor.
+``append`` adds one input in O(n^2), one row of L and of L^-1 y (Rasmussen &
+Williams, 2006, Alg. 2.1).
+
 ``fit`` checks call shapes only. Its two data preconditions are each enforced
 once, where they can arise: inputs are distinct (the sampler draws its first
 ones uniformly, and ``sampling.suggest_next`` keeps each later pick more than
@@ -16,8 +22,8 @@ ones uniformly, and ``sampling.suggest_next`` keeps each later pick more than
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.blas import dtrsm
 
 from distrel import _kernels
 
@@ -27,7 +33,8 @@ LENGTHSCALE_FLOOR = 1e-3
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Squared-exponential kernel hyperparameters."""
+    """Squared-exponential kernel hyperparameters; ``jitter`` is relative to
+    ``signal_variance``."""
 
     lengthscales: np.ndarray
     signal_variance: float
@@ -55,17 +62,16 @@ class KernelConfig:
 class GpPosterior:
     """Fitted posterior: training data plus its Cholesky factorization.
 
-    ``chol`` is the lower-triangular L with L @ L.T = K + jitter_used * I and
-    ``alpha`` solves (K + jitter_used * I) @ alpha = targets. ``chol_inv``
-    caches L^-1 so batched variance reduces to one matrix product.
+    ``chol`` is the lower-triangular L with L @ L.T = R + jitter_used * I,
+    where R = K / signal_variance is the unit-variance kernel matrix, and
+    ``white`` = L^-1 @ targets.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
     kernel: KernelConfig
     chol: np.ndarray
-    alpha: np.ndarray
-    chol_inv: np.ndarray
+    white: np.ndarray
     jitter_used: float
 
 
@@ -102,12 +108,12 @@ def fit(points, values, cfg: KernelConfig) -> GpPosterior:
             f"points have dimension {x.shape[1]}, kernel has {cfg.dim}"
         )
 
-    k = _kernels.rbf_cross(x, x, cfg.lengthscales, cfg.signal_variance)
+    r = _kernels.rbf_cross(x, x, cfg.lengthscales, 1.0)
     jitter = cfg.jitter if cfg.jitter > 0 else 1e-10
     eye = np.eye(x.shape[0])
     while True:
         try:
-            lower = cholesky(k + jitter * eye, lower=True, check_finite=False)
+            lower = cholesky(r + jitter * eye, lower=True, check_finite=False)
             break
         except np.linalg.LinAlgError:
             if jitter >= JITTER_CEILING:
@@ -115,24 +121,51 @@ def fit(points, values, cfg: KernelConfig) -> GpPosterior:
                     f"Cholesky factorization failed even with jitter {jitter:g}"
                 )
             jitter *= 10.0
-    alpha = cho_solve((lower, True), y, check_finite=False)
-    lower_inv, info = dtrtri(lower, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular inversion failed (info={info})")
+    white = solve_triangular(lower, y, lower=True, check_finite=False)
     return GpPosterior(
-        inputs=x, targets=y, kernel=cfg, chol=lower,
-        alpha=alpha, chol_inv=np.ascontiguousarray(lower_inv), jitter_used=jitter,
+        inputs=x, targets=y, kernel=cfg, chol=lower, white=white, jitter_used=jitter
     )
+
+
+def append(gp: GpPosterior, point, value):
+    """``gp`` with one more observation (``fit``'s preconditions hold), in
+    O(n^2); or None when the new pivot is not positive, the point being too
+    close to the inputs for the jitter: refit then, as ``fit`` escalates it."""
+    n = gp.inputs.shape[0]
+    x = np.asarray(point, dtype=np.float64).reshape(1, -1)
+    r = _kernels.rbf_cross(gp.inputs, x, gp.kernel.lengthscales, 1.0)[:, 0]
+    row = solve_triangular(gp.chol, r, lower=True, check_finite=False)
+    pivot = 1.0 + gp.jitter_used - row @ row
+    if not pivot > 0.0:
+        return None
+    pivot = np.sqrt(pivot)
+    chol = np.zeros((n + 1, n + 1), order="F")  # the column order fit's factor has
+    chol[:n, :n] = gp.chol
+    chol[n, :n] = row
+    chol[n, n] = pivot
+    return GpPosterior(
+        inputs=np.vstack([gp.inputs, x]),
+        targets=np.append(gp.targets, value),
+        kernel=gp.kernel,
+        chol=chol,
+        white=np.append(gp.white, (value - row @ gp.white) / pivot),
+        jitter_used=gp.jitter_used,
+    )
+
+
+def whitened_cross(gp: GpPosterior, z: np.ndarray) -> np.ndarray:
+    """L^-1 R(inputs, z), shape (n, m): each column's norm squared is the
+    share of the signal variance that the inputs explain at that point."""
+    r = _kernels.rbf_cross(gp.inputs, z, gp.kernel.lengthscales, 1.0)
+    # solved as X L^T = R^T for X = V^T: R^T is already in BLAS's column order
+    return dtrsm(1.0, gp.chol, r.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
 
 
 def _predict_raw(gp: GpPosterior, z: np.ndarray) -> tuple:
     """Unvalidated batch prediction; ``z`` must be float64, C-contiguous (m, d)."""
-    kstar = _kernels.rbf_cross(
-        gp.inputs, z, gp.kernel.lengthscales, gp.kernel.signal_variance
-    )  # (t, m)
-    mean = kstar.T @ gp.alpha
-    v = gp.chol_inv @ kstar
-    var = gp.kernel.signal_variance - np.einsum("ij,ij->j", v, v)
+    v = whitened_cross(gp, z)
+    mean = v.T @ gp.white
+    var = gp.kernel.signal_variance * (1.0 - np.einsum("ij,ij->j", v, v))
     np.maximum(var, 0.0, out=var)
     return mean, var
 

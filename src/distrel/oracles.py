@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from distrel import _kernels, files
-from distrel.distortion import distort_set, distortion_space
+from distrel.distortion import check_pixel_range, distort_set, distortion_space
 from distrel.space import SearchSpace
 
 
@@ -178,7 +178,11 @@ class SyntheticOracleSpec:
 
 @dataclass(frozen=True)
 class VerificationSet:
-    """Labeled images used to measure a classifier's accuracy."""
+    """Labeled images used to measure a classifier's accuracy.
+
+    The pixel range is checked here, once, so an oracle distorts the set on
+    every call without checking it again.
+    """
 
     images: np.ndarray  # (n, H, W) or (n, H, W, 3), values in [0, 1]
     labels: np.ndarray  # (n,) class indices
@@ -193,6 +197,7 @@ class VerificationSet:
             raise ValueError("images and labels must have equal length")
         if images.shape[0] < 1:
             raise ValueError("verification set needs at least one image")
+        check_pixel_range(images)
         if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
             raise ValueError(
                 f"labels must lie in [0, {self.n_classes - 1}], "
@@ -322,7 +327,9 @@ class ClassifierOracle:
         self.space = distortion_space()
 
     def __call__(self, level) -> float:
-        distorted = distort_set(self.verification.images, level, self.rain_seed)
+        distorted = distort_set(
+            self.verification.images, level, self.rain_seed, check_pixels=False
+        )
         preds = self.classifier.predict(distorted)
         return float(np.mean(preds == self.verification.labels))
 

@@ -1,8 +1,8 @@
 """Build labeled training sets of distortion levels.
 
 Two samplers: plain uniform sampling over the search space, and a
-surrogate-guided loop that fits a GP to the accuracies observed so far and
-picks the next level by maximizing
+surrogate-guided loop that keeps a GP of the accuracies observed so far and
+picks the next level from a pool of uniform candidates by maximizing
 
     q(c) = beta * sigma(c) + (mu(c) - h)
 
@@ -11,7 +11,9 @@ levels (accuracy >= h) are the minority, and flipped to (h - mu(c)) when they
 are the majority. The direction follows the labels observed so far and is
 re-decided at every step, with the tie rule the rebalancers use (equal counts
 make the reliable class the minority). beta grows with the iteration count to
-keep exploring.
+keep exploring. Between full refits, each answer is appended to the
+GP's factor and to the pool's moments (GP-UCB over a finite candidate set:
+Srinivas et al., ICML 2010).
 
 Both samplers ask the oracle only through ``distrel.oracles``: the random
 sampler and the GP's initial draws as one ``evaluate_many`` batch, each GP
@@ -21,11 +23,11 @@ stops a run with ``OracleError`` naming the level.
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from distrel import files
+from distrel import _kernels, files
 from distrel import gp as gpmod
 from distrel import oracles
 from distrel._kernels import single_threaded_blas
@@ -33,6 +35,8 @@ from distrel.space import SearchSpace
 
 DUPLICATE_SUGGESTION_TOL = 1e-9
 REFINE_INITIAL_STEP = 0.05  # fraction of each dimension's range
+# the GP loop refits in full once t has grown by this factor since the last refit
+REFRESH_GROWTH = 1.1
 
 
 @dataclass(frozen=True)
@@ -96,13 +100,16 @@ class LabeledSet:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Knobs for the GP-guided sampling loop."""
+    """Knobs for the GP-guided sampling loop: ``acquisition_candidates`` is
+    the pool size, and ``refine_steps`` > 0 adds a hill climb from the pool's
+    best candidate (off by default: random candidates come within 1-2 % of
+    its acquisition value, and only the climb lands on the box faces)."""
 
     budget: int
     init_count: int = 20
     delta: float = 0.1
     acquisition_candidates: int = 2048
-    refine_steps: int = 32
+    refine_steps: int = 0
     seed: int = 0
 
     def __post_init__(self):
@@ -160,8 +167,91 @@ def acquisition(gp, points, h: float, beta: float, sign: float = 1.0) -> np.ndar
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    mean, var = gpmod.predict_batch(gp, points)
+    return _ucb(*gpmod.predict_batch(gp, points), h, beta, sign)
+
+
+def _ucb(mean, var, h: float, beta: float, sign: float) -> np.ndarray:
     return beta * np.sqrt(var) + sign * (mean - h)
+
+
+class _CandidatePool:
+    """Uniform candidates of the unit cube and their moments under ``post``.
+
+    ``rows[:n, :size]`` holds V = L^-1 R(inputs, candidates) for the n inputs
+    of ``post``: a candidate's mean is its column dotted with L^-1 y, and its
+    variance the signal variance times 1 - |column|^2. ``add`` appends one row
+    to V, so each moment moves by one term: O(n m) per step, where scoring
+    afresh costs O(n^2 m). A taken candidate leaves the pool; the last one
+    moves into its column.
+    """
+
+    def __init__(self, post, candidates: np.ndarray, capacity: int):
+        v = gpmod.whitened_cross(post, candidates)
+        self.post = post
+        self.z = candidates
+        self.size = len(candidates)
+        self.rows = np.empty((capacity, self.size))
+        self.rows[: len(v)] = v
+        self.mean = v.T @ post.white
+        self.unit_var = 1.0 - np.einsum("ij,ij->j", v, v)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def moments(self) -> tuple:
+        """Posterior mean and variance of the live candidates."""
+        m = self.size
+        var = self.post.kernel.signal_variance * np.maximum(self.unit_var[:m], 0.0)
+        return self.mean[:m], var
+
+    def take(self, i: int) -> np.ndarray:
+        """Remove candidate i from the pool and return it."""
+        n, last = len(self.post.inputs), self.size - 1
+        picked = self.z[i].copy()
+        for a in (self.z, self.mean, self.unit_var):
+            a[i] = a[last]
+        self.rows[:n, i] = self.rows[:n, last]
+        self.size = last
+        return picked
+
+    def add(self, point, value) -> bool:
+        """Append one observation to the posterior and one row to V; False,
+        changing nothing, when the new pivot is not positive."""
+        post = gpmod.append(self.post, point, value)
+        if post is None:
+            return False
+        n, m = len(self.post.inputs), self.size
+        r = _kernels.rbf_cross(post.inputs[n:], self.z[:m], post.kernel.lengthscales, 1.0)[0]
+        v = (r - post.chol[n, :n] @ self.rows[:n, :m]) / post.chol[n, n]
+        self.rows[n, :m] = v
+        self.mean[:m] += post.white[n] * v
+        self.unit_var[:m] -= v * v
+        kernel = replace(post.kernel, signal_variance=_signal_variance(post.targets))
+        self.post = replace(post, kernel=kernel)
+        return True
+
+
+def _signal_variance(targets) -> float:
+    """The targets' sample variance, floored at 1e-4 (and 1e-4 for one target)."""
+    return max(float(np.var(targets, ddof=1)), 1e-4) if len(targets) >= 2 else 1e-4
+
+
+def _refresh(z, accs, cfg: SamplerConfig, rng) -> _CandidatePool:
+    """A full refit: median-heuristic lengthscales recomputed, a full ``fit``
+    (which escalates the jitter if it must) and a fresh candidate pool."""
+    t, d = z.shape
+    lengthscales = gpmod.median_heuristic_lengthscales(z) if t >= 2 else np.ones(d)
+    kcfg = gpmod.KernelConfig(lengthscales, _signal_variance(accs), jitter=1e-10)
+    post = gpmod.fit(z, accs, kcfg)
+    return _CandidatePool(post, rng.random((cfg.acquisition_candidates, d)), cfg.budget)
+
+
+def _observe(pool: _CandidatePool, z, accs, cfg: SamplerConfig, rng) -> _CandidatePool:
+    """Add the last of ``z`` and ``accs`` to the pool's posterior: an O(n^2)
+    append, or a refresh over all of them when the new pivot is not positive."""
+    if pool.add(z[-1], accs[-1]):
+        return pool
+    return _refresh(z, accs, cfg, rng)
 
 
 def suggest_next(
@@ -171,23 +261,27 @@ def suggest_next(
     beta: float,
     cfg: SamplerConfig,
     rng: np.random.Generator,
+    pool: _CandidatePool = None,
 ) -> np.ndarray:
     """Approximate argmax of the acquisition over the box; returns a raw level.
 
-    Random multistart (``acquisition_candidates`` uniform points) followed by
-    coordinate-wise hill climbing: each refinement step probes +-step along
-    every axis, moves to the best improving probe, and halves the step.
+    Takes the best candidate of ``pool``, whose posterior must be ``gp``, or
+    of a fresh pool of ``acquisition_candidates`` uniform points when none is
+    given; the pick leaves the pool. With ``refine_steps`` > 0, coordinate-wise
+    hill climbing follows: each refinement step probes +-step along every
+    axis, moves to the best improving probe, and halves the step.
     Collisions with existing training inputs get nudged by up to 0.5% of each
     range so the next factorization stays well-posed. The mean term follows
     the minority among the posterior's training targets labeled against ``h``.
     """
     d = space.dim
     sign = 1.0 if minority_label(gp.targets >= h) == 1 else -1.0
-    z_cand = rng.random((cfg.acquisition_candidates, d))
-    q = acquisition(gp, z_cand, h, beta, sign)
+    if pool is None:
+        pool = _CandidatePool(gp, rng.random((cfg.acquisition_candidates, d)), len(gp.inputs))
+    q = _ucb(*pool.moments(), h, beta, sign)
     best = int(np.argmax(q))
-    z_best = z_cand[best].copy()
     q_best = q[best]
+    z_best = pool.take(best)
 
     step = REFINE_INITIAL_STEP
     rows = np.arange(d)
@@ -212,45 +306,6 @@ def suggest_next(
     return space.denormalize(z_best)
 
 
-class _PairwiseDiffTracker:
-    """Sorted |x_i - x_j| multisets, one per dimension, grown point by point.
-
-    Produces the same lengthscales as ``median_heuristic_lengthscales`` but
-    merges only the n new differences per added point into each sorted array
-    and reads the median off the middle, instead of rebuilding all pairs or
-    re-partitioning them, which keeps the refit-every-step loop affordable.
-    """
-
-    def __init__(self, points: np.ndarray, capacity_points: int):
-        points = np.atleast_2d(points)
-        n, d = points.shape
-        self._points = np.empty((capacity_points, d))
-        self._points[:n] = points
-        self._n = n
-        iu, ju = np.triu_indices(n, k=1)
-        block = np.abs(points[iu] - points[ju]).T
-        self._sorted = [np.sort(row) for row in block]
-
-    def add(self, point: np.ndarray) -> None:
-        n = self._n
-        block = np.sort(np.abs(self._points[:n] - point).T, axis=1)
-        for j, new in enumerate(block):
-            old = self._sorted[j]
-            self._sorted[j] = np.insert(old, np.searchsorted(old, new), new)
-        self._points[n] = point
-        self._n += 1
-
-    def lengthscales(self) -> np.ndarray:
-        m = self._sorted[0].size
-        half = m // 2
-        if m % 2:
-            med = np.array([s[half] for s in self._sorted])
-        else:
-            # the mean of the two middle values, rounded as np.median does
-            med = np.array([np.mean(s[half - 1 : half + 1]) for s in self._sorted])
-        return np.maximum(med, gpmod.LENGTHSCALE_FLOOR)
-
-
 def run_random_sampling(oracle, space: SearchSpace, h: float, budget: int, seed: int) -> LabeledSet:
     """Label ``budget`` i.i.d. uniform levels; deterministic per seed."""
     if budget < 0:
@@ -266,10 +321,17 @@ def run_gp_sampling(oracle, space: SearchSpace, h: float, cfg: SamplerConfig) ->
     """GP-guided training-set construction under a fixed evaluation budget.
 
     Phase 1 draws ``init_count`` uniform levels. Each remaining evaluation
-    refits the GP (median-heuristic lengthscales, target-variance signal
-    level) on everything observed so far, recomputes beta for the current
-    iteration count, and evaluates the acquisition argmax. Initial points
-    count against the budget, so total oracle calls equal ``budget``.
+    first adds the previous answer to the posterior and to a candidate pool,
+    in O(n^2 + n m), then picks the acquisition argmax over the pool, with
+    beta for the current iteration count t. A refresh refits in full
+    instead (median-heuristic lengthscales, a full ``fit``, a fresh pool) at
+    the first step, whenever t has grown by ``REFRESH_GROWTH`` since the last
+    one or the pool is empty, and when an append's pivot is not positive.
+    Nothing but the loop's end depends on the budget, so a shorter run is a
+    prefix of a longer one. The signal level is the targets' variance at
+    every step.
+    Initial points count against the budget, so total oracle calls equal
+    ``budget``.
     """
     if not 0.0 <= h <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {h}")
@@ -282,25 +344,20 @@ def run_gp_sampling(oracle, space: SearchSpace, h: float, cfg: SamplerConfig) ->
     z[: cfg.init_count] = rng.random((cfg.init_count, d))
     levels[: cfg.init_count] = space.denormalize(z[: cfg.init_count])
     accs[: cfg.init_count] = oracles.evaluate_many(oracle, levels[: cfg.init_count])
-    tracker = _PairwiseDiffTracker(z[: cfg.init_count], cfg.budget)
 
     t = cfg.init_count
+    pool, refreshed_at = None, 0
     with single_threaded_blas():
         while t < cfg.budget:
-            acc_arr = accs[:t]
-            if t >= 2:
-                lengthscales = tracker.lengthscales()
-                signal_variance = max(float(np.var(acc_arr, ddof=1)), 1e-4)
+            if pool and t < REFRESH_GROWTH * refreshed_at:
+                pool = _observe(pool, z[:t], accs[:t], cfg, rng)
             else:
-                lengthscales = np.ones(d)
-                signal_variance = 1e-4
-            kcfg = gpmod.KernelConfig(lengthscales, signal_variance, jitter=1e-10)
-            posterior = gpmod.fit(z[:t], acc_arr, kcfg)
+                pool = _refresh(z[:t], accs[:t], cfg, rng)
+                refreshed_at = t
             beta = beta_coefficient(t, d, cfg.delta)
-            levels[t] = suggest_next(posterior, space, h, beta, cfg, rng)
+            levels[t] = suggest_next(pool.post, space, h, beta, cfg, rng, pool)
             accs[t] = oracles.query(oracle, levels[t])
             z[t] = space.normalize(levels[t])
-            tracker.add(z[t])
             t += 1
 
     return LabeledSet.from_accuracies(levels, accs, h)

@@ -69,8 +69,9 @@ def test_criterion_01_gp_correctness():
 
     assert np.max(np.abs(mean_tr - y)) <= 1e-6
     assert np.max(var_tr) <= 1e-6
-    m_ref, v_ref = dense_solve_oracle(
-        x, y, cfg.lengthscales, cfg.signal_variance, gp.jitter_used, probes
+    m_ref, v_ref = dense_solve_oracle(  # gp's jitter is relative to the signal variance
+        x, y, cfg.lengthscales, cfg.signal_variance,
+        cfg.signal_variance * gp.jitter_used, probes,
     )
     assert np.max(np.abs(mean_pr - m_ref)) <= 1e-8
     assert np.max(np.abs(var_pr - np.maximum(v_ref, 0.0))) <= 1e-8

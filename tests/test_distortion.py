@@ -147,6 +147,15 @@ class TestDistortSet:
         with pytest.raises(ValueError, match=r"\(6, 6\), \(6, 6, 1\), \(6, 7\)"):
             distort_set(imgs, level())
 
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, np.nan])
+    def test_pixels_outside_unit_range_rejected(self, bad):
+        img = checkerboard(6, 6)
+        img[2, 3] = bad
+        with pytest.raises(ValueError, match=r"pixel values must lie in \[0, 1\]"):
+            distort_set([img], level())
+        with pytest.raises(ValueError, match=r"pixel values must lie in \[0, 1\]"):
+            apply_distortion(img, level())
+
     def test_rain_draws_are_cached_read_only(self):
         draws = distortion._rain_draws(3, 5, 16, 16)
         assert draws is distortion._rain_draws(3, 5, 16, 16)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from distrel.gp import (
     GpPosterior,
     KernelConfig,
+    append,
     fit,
     kernel_eval,
     median_heuristic_lengthscales,
@@ -78,8 +79,9 @@ class TestFit:
         cfg = KernelConfig(np.ones(2), 1.0, jitter=1e-10)
         gp = fit([[0.2, 0.8]], [0.5], cfg)
         assert gp.inputs.shape[0] == 1
-        expected = 0.5 / (1.0 + 1e-10)
-        assert gp.alpha[0] == pytest.approx(expected, rel=1e-12)
+        # alpha = K^-1 y = L^-T (L^-1 y), with L = sqrt(1 + jitter)
+        alpha = gp.white[0] / gp.chol[0, 0]
+        assert alpha == pytest.approx(0.5 / (1.0 + 1e-10), rel=1e-12)
 
     def test_factorization_reconstructs_kernel(self):
         rng = np.random.default_rng(9)
@@ -115,7 +117,7 @@ class TestFit:
         gp1 = fit(x, y, cfg)
         gp2 = fit(x, y, cfg)
         assert np.array_equal(gp1.chol, gp2.chol)
-        assert np.array_equal(gp1.alpha, gp2.alpha)
+        assert np.array_equal(gp1.white, gp2.white)
 
 
 class TestPredict:
@@ -146,7 +148,8 @@ class TestPredict:
         gp = fit(x, y, cfg)
         probes = rng.random((7, 3))
         mean, var = predict_batch(gp, probes)
-        m_ref, v_ref = dense_solve_oracle(x, y, ls, 1.2, gp.jitter_used, probes)
+        # the jitter is relative to the signal variance
+        m_ref, v_ref = dense_solve_oracle(x, y, ls, 1.2, 1.2 * gp.jitter_used, probes)
         np.testing.assert_allclose(mean, m_ref, atol=1e-8)
         np.testing.assert_allclose(var, np.maximum(v_ref, 0.0), atol=1e-8)
 
@@ -213,14 +216,14 @@ class TestKernelConfigValidation:
 
 
 @st.composite
-def gp_problems(draw):
-    """A GP on n = 1-30 distinct points of the unit cube in d = 1-6
+def gp_problems(draw, min_points=1):
+    """A GP on n = min_points-30 distinct points of the unit cube in d = 1-6
     dimensions, with drawn targets, lengthscales and signal variance, and
     1-8 probes."""
     d = draw(st.integers(1, 6))
     unit = st.floats(0.0, 1.0)
     point = st.lists(unit, min_size=d, max_size=d).map(tuple)
-    x = np.array(draw(st.lists(point, min_size=1, max_size=30, unique=True)))
+    x = np.array(draw(st.lists(point, min_size=min_points, max_size=30, unique=True)))
     y = np.array(draw(st.lists(unit, min_size=len(x), max_size=len(x))))
     ls = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d)))
     variance = draw(st.floats(0.05, 2.0))
@@ -228,24 +231,61 @@ def gp_problems(draw):
     return x, y, KernelConfig(ls, variance), probes
 
 
+def unit_kernel_cond(x, cfg):
+    """Condition number of R + jitter I, R the unit-variance kernel matrix."""
+    t = (x[:, None, :] - x[None, :, :]) / cfg.lengthscales
+    r = np.exp(-0.5 * np.sum(t * t, axis=2))
+    return np.linalg.cond(r + cfg.jitter * np.eye(len(x)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(gp_problems())
 def test_predict_batch_matches_dense_solve(problem):
     x, y, cfg, probes = problem
-    t = (x[:, None, :] - x[None, :, :]) / cfg.lengthscales
-    k = cfg.signal_variance * np.exp(-0.5 * np.sum(t * t, axis=2))
-    cond = np.linalg.cond(k + cfg.jitter * np.eye(len(x)))
+    cond = unit_kernel_cond(x, cfg)
     assume(cond < 1e8)
     gp = fit(x, y, cfg)
     mean, var = predict_batch(gp, probes)
     m_ref, v_ref = dense_solve_oracle(
-        x, y, cfg.lengthscales, cfg.signal_variance, gp.jitter_used, probes
+        x, y, cfg.lengthscales, cfg.signal_variance,
+        cfg.signal_variance * gp.jitter_used, probes,
     )
-    # Both sides solve the same system (K + jitter I) by backward-stable
-    # methods, Cholesky with an explicit triangular inverse against LU, so
+    # Both sides solve the same system, signal_variance * (R + jitter I), by
+    # backward-stable methods, Cholesky with triangular solves against LU, so
     # each is off the exact answer by about n * cond * eps on targets in
     # [0, 1] and variances up to the signal variance. The factor 1e3 is a
     # margin over the largest ratio seen in 8000 seeded draws, about 130.
     tol = 1e3 * len(x) * cond * np.finfo(float).eps * max(1.0, cfg.signal_variance)
     np.testing.assert_allclose(mean, m_ref, rtol=0, atol=tol)
     np.testing.assert_allclose(var, np.maximum(v_ref, 0.0), rtol=0, atol=tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gp_problems(min_points=2), st.data())
+def test_append_matches_fit(problem, data):
+    """Growing a prefix fit one point at a time gives the factor, the mean and
+    the variance of fitting the whole set at once."""
+    x, y, cfg, probes = problem
+    # rounding moves both sides by about n * cond * eps; this bound keeps
+    # that under the 1e-9 tolerance
+    assume(unit_kernel_cond(x, cfg) < 1e5)
+    k = data.draw(st.integers(1, len(x) - 1), label="prefix")
+    grown = fit(x[:k], y[:k], cfg)
+    for i in range(k, len(x)):
+        grown = append(grown, x[i], y[i])
+        assert grown is not None
+    full = fit(x, y, cfg)
+    assert grown.jitter_used == full.jitter_used
+    np.testing.assert_array_equal(grown.inputs, full.inputs)
+    np.testing.assert_array_equal(grown.targets, full.targets)
+    np.testing.assert_allclose(grown.chol, full.chol, rtol=0, atol=1e-9)
+    for got, want in zip(predict_batch(grown, probes), predict_batch(full, probes)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+def test_append_refuses_a_non_positive_pivot():
+    # an exact repeat without jitter leaves a zero pivot, up to rounding
+    cfg = KernelConfig(np.full(2, 0.3), 1.0, jitter=1e-10)
+    gp = fit([[0.2, 0.4], [0.7, 0.1]], [0.3, 0.8], cfg)
+    gp = GpPosterior(gp.inputs, gp.targets, gp.kernel, gp.chol, gp.white, jitter_used=-1e-6)
+    assert append(gp, [0.2, 0.4], 0.3) is None

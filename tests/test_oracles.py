@@ -201,6 +201,14 @@ class TestBlobsAndClassifiers:
             train_reference_classifier(train, "nearest-centroid")
 
 
+    @pytest.mark.parametrize("bad", [-0.5, 1.5, np.nan])
+    def test_pixels_outside_unit_range_rejected(self, bad):
+        imgs = np.full((2, 4, 4), 0.5)
+        imgs[1, 0, 0] = bad
+        with pytest.raises(ValueError, match=r"pixel values must lie in \[0, 1\]"):
+            VerificationSet(imgs, np.array([0, 1]), 2)
+
+
 class TestClassifierOracle:
     def test_constant_predictor_rate(self):
         class AlwaysZero:

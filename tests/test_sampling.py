@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from distrel.gp import KernelConfig, fit, predict_batch
 from distrel.oracles import OracleError
 from distrel.sampling import (
     LabeledSet,
     SamplerConfig,
-    _PairwiseDiffTracker,
+    _CandidatePool,
+    _observe,
+    _refresh,
     acquisition,
     beta_coefficient,
     load_labeled_set,
@@ -18,8 +22,9 @@ from distrel.sampling import (
     save_labeled_set,
     suggest_next,
 )
-from distrel.gp import median_heuristic_lengthscales
 from distrel.space import SearchSpace
+
+from test_gp import gp_problems, unit_kernel_cond
 
 
 def unit_space(d=2):
@@ -313,6 +318,22 @@ class TestGpSampling:
         ls = run_gp_sampling(quadratic_bump_oracle(space), space, 0.7, cfg)
         np.testing.assert_array_equal(ls.labels, (ls.accuracies >= 0.7).astype(int))
 
+    def test_pool_smaller_than_the_refresh_interval(self):
+        # two candidates last two steps; an empty pool forces a refresh
+        space = unit_space(2)
+        cfg = SamplerConfig(budget=60, init_count=10, acquisition_candidates=2, seed=6)
+        ls = run_gp_sampling(quadratic_bump_oracle(space), space, 0.5, cfg)
+        assert ls.n == 60
+        assert len({tuple(level) for level in ls.levels.tolist()}) == 60
+
+    def test_budget_prefix(self):
+        # nothing but the loop's end depends on the budget, so a shorter run is a prefix
+        space = unit_space(3)
+        oracle = quadratic_bump_oracle(space)
+        long = run_gp_sampling(oracle, space, 0.8, SamplerConfig(budget=70, init_count=8, seed=9))
+        short = run_gp_sampling(oracle, space, 0.8, SamplerConfig(budget=45, init_count=8, seed=9))
+        np.testing.assert_array_equal(short.levels, long.levels[:45])
+
 
 class TestSamplerConfigValidation:
     def test_init_count_below_budget(self):
@@ -364,15 +385,56 @@ class TestLabeledSet:
             load_labeled_set(path, space, 0.9)
 
 
-class TestPairwiseDiffTracker:
-    def test_matches_pure_median_heuristic(self):
-        rng = np.random.default_rng(21)
-        pts = rng.random((6, 4))
-        tracker = _PairwiseDiffTracker(pts, 20)
-        for _ in range(10):
-            p = rng.random(4)
-            pts = np.vstack([pts, p])
-            tracker.add(p)
-            np.testing.assert_array_equal(
-                tracker.lengthscales(), median_heuristic_lengthscales(pts)
-            )
+
+class TestCandidatePool:
+    @settings(max_examples=100, deadline=None)
+    @given(gp_problems(min_points=2), st.data())
+    def test_running_moments_match_predict_batch(self, problem, data):
+        """After every append, and with picks taken out in between, the pool's
+        moments equal a fresh prediction on its live candidates."""
+        x, y, cfg, _ = problem
+        assume(unit_kernel_cond(x, cfg) < 1e5)
+        k = data.draw(st.integers(1, len(x) - 1), label="prefix")
+        candidates = np.random.default_rng(k).random((16, x.shape[1]))
+        pool = _CandidatePool(fit(x[:k], y[:k], cfg), candidates, len(x))
+        for i in range(k, len(x)):
+            if len(pool) > 1 and data.draw(st.booleans(), label="take"):
+                pool.take(data.draw(st.integers(0, len(pool) - 1), label="pick"))
+            assert pool.add(x[i], y[i])
+            mean, var = pool.moments()
+            ref_mean, ref_var = predict_batch(pool.post, pool.z[: len(pool)])
+            np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(var, ref_var, rtol=0, atol=1e-9)
+
+    def test_take_removes_the_pick(self):
+        rng = np.random.default_rng(3)
+        post = fit(rng.random((4, 2)), rng.random(4), KernelConfig(np.full(2, 0.4), 0.1))
+        candidates = rng.random((5, 2))
+        pool = _CandidatePool(post, candidates.copy(), 4)
+        picked = pool.take(1)
+        np.testing.assert_array_equal(picked, candidates[1])
+        assert len(pool) == 4
+        assert not np.any(np.all(pool.z[:4] == picked, axis=1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(gp_problems(min_points=2), st.data())
+    def test_near_duplicate_input_appends_or_refreshes(self, problem, data):
+        """A new input 2e-9 from an earlier one puts the new pivot at rounding
+        level: the step appends or refits, and gives no NaN."""
+        x, y, _, _ = problem
+        n, d = x.shape
+        j = data.draw(st.integers(0, n - 1), label="near")
+        axis = data.draw(st.integers(0, d - 1), label="axis")
+        near = x[j].copy()
+        near[axis] += 2e-9 if near[axis] < 0.5 else -2e-9
+        z = np.vstack([x, near])
+        accs = np.append(y, data.draw(st.floats(0.0, 1.0), label="value"))
+        cfg = SamplerConfig(budget=n + 2, init_count=n, acquisition_candidates=32)
+        rng = np.random.default_rng(n)
+        pool = _observe(_refresh(z[:n], accs[:n], cfg, rng), z, accs, cfg, rng)
+        assert len(pool.post.inputs) == n + 1
+        mean, var = pool.moments()
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
+        assert np.all(var >= 0.0)
+        mean, var = predict_batch(pool.post, rng.random((8, d)))
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
