@@ -6,9 +6,10 @@ writes a manifest (resolved config + hash + oracle call counts) next to its
 outputs so a run can be reproduced exactly.
 
 ``--workers N`` (N >= 1; on ``sample``, ``pipeline`` and the sweeps) runs up
-to N (sampler, seed) sampling runs, and then up to N cells, at once in forked
-worker processes; every output byte is the same for any N. An error raised
-in a worker is reported as it would be without workers.
+to N (sampler, seed) sampling runs, and then up to N cell jobs (a set's
+rebalance and its kinds' cells), at once in forked worker processes; every
+output byte is the same for any N. An error raised in a worker is reported
+as it would be without workers. Every command runs with BLAS on one thread.
 
 Exit codes: 0 success, 1 validation error or an input file that cannot be
 read or parsed, 2 partial cell failure, 3 runtime failure.
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from distrel import __version__
+from distrel import __version__, _kernels
 from distrel import evaluation as ev
 from distrel import files
 from distrel import models as models_mod
@@ -592,6 +593,10 @@ def main(argv=None) -> int:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         seeds = None if args.seed is None else [args.seed]
         cfg = resolve_config(load_config(args.config), {"out": args.out, "seeds": seeds})
+        # BLAS stays on one thread: undoing a pin restarts OpenBLAS's spinning threads
+        for get_threads, set_threads in _kernels.openblas_thread_controls():
+            if get_threads() != 1:
+                set_threads(1)
         cells = args.command in _CELL_COMMANDS
         if cells and "knn" in cfg["kinds"] and "reweight" in cfg["methods"]:
             # exact: reweight keeps the levels and labels and only sets weights

@@ -7,10 +7,10 @@ budget: a smaller budget scores the first rows of each set and a threshold
 relabels the cached accuracies, so no point of a sweep re-queries the oracle.
 
 ``workers`` sets how many run at once: the (sampler, seed) sampling runs, and
-then the cells, go to forked worker processes through one map, ``_map``,
-because a GP run and a cell's training both hold the interpreter lock. Every
-run and cell is seeded and runs with BLAS on one thread, so results do not
-depend on it.
+then the cell jobs of every (budget, h) point, go to forked worker processes
+through two maps, ``_map``, because a GP run and a cell's training both hold
+the interpreter lock. Every run and cell is seeded and runs with BLAS on one
+thread, so results do not depend on it.
 """
 
 import hashlib
@@ -355,31 +355,38 @@ def _sample_sets(oracle, space, h, samplers, seeds, cfg: SamplerConfig, workers=
     return dict(zip(keys, sets))
 
 
-def _evaluate_cells(train_sets, grid, space, methods, kinds, workers=1):
-    """Rebalance each set once per method, then train and score every cell
-    through _map; failures are recorded, not raised."""
-    jobs = []
-    for (sampler, seed), labeled in sorted(train_sets.items()):
-        for method in methods:
-            try:
-                pre = rebalance_mod.rebalance(labeled, method, space, seed=seed)
-            except Exception as exc:
-                pre = exc
-            jobs += [(sampler, seed, method, kind, pre) for kind in kinds]
+def _evaluate_cells(points, space, methods, kinds, workers=1) -> list:
+    """Score the cells of every (train_sets, grid) point through one _map;
+    returns one cell list per point, ordered by (sampler, seed), method, kind.
 
-    def run_cell(job):
-        sampler, seed, method, kind, pre = job
-        if isinstance(pre, Exception):
-            return CellResult(sampler, method, kind, seed, error=str(pre))
+    A job is one (point, (sampler, seed), method): it rebalances that set and
+    trains and scores each kind on it. Failures are recorded, not raised; a
+    failed rebalance fails each of its kinds' cells."""
+    jobs = [(p, key, labeled, method, grid)
+            for p, (train_sets, grid) in enumerate(points)
+            for key, labeled in sorted(train_sets.items())
+            for method in methods]
+
+    def run_job(job):
+        _, (sampler, seed), labeled, method, grid = job
         try:
-            model = models_mod.train(kind, pre, space)
-            preds = model.predict(grid.levels)
-            metrics = f1_score(preds, grid.labels)
-            return CellResult(sampler, method, kind, seed, metrics=metrics)
+            pre = rebalance_mod.rebalance(labeled, method, space, seed=seed)
         except Exception as exc:
-            return CellResult(sampler, method, kind, seed, error=str(exc))
+            return [CellResult(sampler, method, kind, seed, error=str(exc)) for kind in kinds]
+        cells = []
+        for kind in kinds:
+            try:
+                model = models_mod.train(kind, pre, space)
+                metrics = f1_score(model.predict(grid.levels), grid.labels)
+                cells.append(CellResult(sampler, method, kind, seed, metrics=metrics))
+            except Exception as exc:
+                cells.append(CellResult(sampler, method, kind, seed, error=str(exc)))
+        return cells
 
-    return _map(run_cell, jobs, workers)
+    out = [[] for _ in points]
+    for (p, *_), cells in zip(jobs, _map(run_job, jobs, workers)):
+        out[p] += cells
+    return out
 
 
 def _experiment(oracle, space, budgets, h_values, options, grid, workers, config_at,
@@ -389,17 +396,16 @@ def _experiment(oracle, space, budgets, h_values, options, grid, workers, config
     Every argument is checked before the first oracle call. The grid (unless
     passed) and every (sampler, seed) set are labelled against
     ``h_values[0]``, each set at the largest budget; ``on_sampled(train_sets)``
-    runs next. Each (budget, h) pair, in order, then relabels a view of each
-    set's first ``budget`` rows and scores the matrix; ``config_at(budget, h)``
-    is its report's config. All of it runs under one BLAS pin, so the pin is
-    not undone and redone between the phases.
+    runs next. Each (budget, h) pair relabels a view of each set's first
+    ``budget`` rows; the cells of all pairs are scored in one map, and
+    ``config_at(budget, h)`` is each report's config. All of it runs under
+    one BLAS pin, so the pin is not undone and redone between the phases.
     """
     if not budgets:
         raise ValueError("need at least one budget")
     h_values = _check_thresholds(h_values)
     checked = [check_run_options(budget, options) for budget in budgets]
     sampler_cfg, opts = max(checked, key=lambda c: c[0].budget)
-    rows = []
     with single_threaded_blas():
         if grid is None:
             grid = build_grid_test_set(space, opts["points_per_dim"], oracle, h_values[0])
@@ -408,22 +414,20 @@ def _experiment(oracle, space, budgets, h_values, options, grid, workers, config
         )
         if on_sampled is not None:
             on_sampled(train_sets)
-        for budget in budgets:
-            for h in h_values:
-                sets = {k: LabeledSet.from_accuracies(v.levels[:budget], v.accuracies[:budget], h)
-                        for k, v in train_sets.items()}
-                grid_h = grid.relabeled(h)
-                rows.append((budget, h, ExperimentReport(
-                    cells=_evaluate_cells(sets, grid_h, space, opts["methods"], opts["kinds"],
-                                          workers),
-                    positive_counts={k: v.positive_count for k, v in sets.items()},
-                    oracle_calls={k: oracle_call_count(v) for k, v in sets.items()},
-                    grid_size=grid_h.n,
-                    grid_positive_count=grid_h.positive_count,
-                    seeds=tuple(opts["seeds"]),
-                    config=config_at(budget, h),
-                )))
-    return rows
+        pairs = [(budget, h) for budget in budgets for h in h_values]
+        points = [({k: LabeledSet.from_accuracies(v.levels[:budget], v.accuracies[:budget], h)
+                    for k, v in train_sets.items()}, grid.relabeled(h))
+                  for budget, h in pairs]
+        cells = _evaluate_cells(points, space, opts["methods"], opts["kinds"], workers)
+    return [(budget, h, ExperimentReport(
+        cells=point_cells,
+        positive_counts={k: v.positive_count for k, v in sets.items()},
+        oracle_calls={k: oracle_call_count(v) for k, v in sets.items()},
+        grid_size=grid_h.n,
+        grid_positive_count=grid_h.positive_count,
+        seeds=tuple(opts["seeds"]),
+        config=config_at(budget, h),
+    )) for (budget, h), (sets, grid_h), point_cells in zip(pairs, points, cells)]
 
 
 def run_experiment(oracle, space: SearchSpace, h: float, *, budget: int, grid: LabeledSet = None,

@@ -75,19 +75,6 @@ class GpPosterior:
     jitter_used: float
 
 
-def kernel_eval(a, b, cfg: KernelConfig) -> float:
-    """k(a, b) = signal_variance * exp(-1/2 * sum_j ((a_j-b_j)/l_j)^2)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != (cfg.dim,) or b.shape != (cfg.dim,):
-        raise ValueError(
-            f"kernel_eval dimension mismatch: got {a.shape} and {b.shape}, "
-            f"kernel has {cfg.dim} lengthscales"
-        )
-    t = (a - b) / cfg.lengthscales
-    return float(cfg.signal_variance * np.exp(-0.5 * np.dot(t, t)))
-
-
 def fit(points, values, cfg: KernelConfig) -> GpPosterior:
     """Fit the GP to observed (point, value) pairs.
 

@@ -20,11 +20,12 @@ tree leaf ties map to label 0.
 Cost. k-NN ``predict`` takes the k nearest training points of each level as
 a stable argsort of its distance row would, distance ties going to the
 lower training index, but selects them without sorting: O(m) per level for
-m training points, in blocks of rows. The tree scores every split candidate
-of a feature in one numpy pass per node and feature, then replays the
-sequential first-wins rule (a gain must beat the best so far by 1e-15) over
-the candidates that set a new running maximum, so it picks the same splits
-as a candidate-by-candidate loop.
+m training points, one block of 256 levels at a time, so at most 256 x m
+distances exist at once. The tree sorts every feature of a node at once and
+scores every split candidate of every feature in one numpy pass, then
+replays the sequential first-wins rule (feature by feature, a gain must
+beat the best so far by 1e-15) over the candidates that set a new running
+maximum, so it picks the same splits as a candidate-by-candidate loop.
 """
 
 import numpy as np
@@ -34,6 +35,7 @@ from distrel.rebalance import RebalancedSet
 from distrel.space import SearchSpace
 
 MODEL_FORMAT_VERSION = 1
+_KNN_BLOCK = 256  # levels per k-NN distance block of _KNN_BLOCK x m floats
 
 _RIDGE = 1e-8
 _MAX_NEWTON_STEPS = 100
@@ -240,18 +242,18 @@ class KnnModel(_Model):
     def predict(self, levels) -> np.ndarray:
         """Majority vote of the k nearest training points of each level.
 
-        One ``pairwise_sq_dists`` call gives every squared distance; the k
-        nearest of each row are then selected by ``_kernels.nearest_k``, the
-        same set as a stable argsort of the row (distance ties go to the
-        lower training index) at O(m) rather than O(m log m) per row of m
-        training points.
+        Per block of ``_KNN_BLOCK`` levels, ``pairwise_sq_dists`` gives the
+        squared distances and ``_kernels.nearest_k`` selects the k nearest of
+        each row: the same set as a stable argsort of the row (distance ties
+        go to the lower training index) at O(m) per row of m training points.
         """
-        z = self._normalize(levels)
-        k = min(self.hyper["k"], self.points.shape[0])
-        d = _kernels.pairwise_sq_dists(
-            np.ascontiguousarray(z), np.ascontiguousarray(self.points)
-        )
-        votes = self.labels[_kernels.nearest_k(d, k)].sum(axis=1)
+        z = np.ascontiguousarray(self._normalize(levels))
+        points = np.ascontiguousarray(self.points)
+        k = min(self.hyper["k"], points.shape[0])
+        votes = np.empty(z.shape[0], dtype=np.int64)
+        for start in range(0, z.shape[0], _KNN_BLOCK):
+            d = _kernels.pairwise_sq_dists(z[start:start + _KNN_BLOCK], points)
+            votes[start:start + _KNN_BLOCK] = self.labels[_kernels.nearest_k(d, k)].sum(axis=1)
         # strict majority of ones; ties (even k with votes == k/2) go to 0
         return (2 * votes > k).astype(np.int64)
 
@@ -301,37 +303,34 @@ def _build_node(z, labels, weights, depth, max_depth, min_leaf) -> dict:
     total_w0 = float(weights[labels == 0].sum())
     total_w1 = float(weights[labels == 1].sum())
     parent = float(_gini(total_w0, total_w1))
+    # every feature at once: column j of each array is feature j's sorted order
+    order = np.argsort(z, axis=0, kind="stable")
+    vals = np.take_along_axis(z, order, axis=0)
+    w = weights[order]
+    cum_w1 = np.cumsum(w * (labels[order] == 1), axis=0)
+    cum_w = np.cumsum(w, axis=0)
+    # candidate split after position i: left = rows [0..i]
+    i = np.arange(min_leaf - 1, n - min_leaf)
+    lw, lw1 = cum_w[i], cum_w1[i]
+    rw, rw1 = cum_w[-1] - lw, cum_w1[-1] - lw1
+    frac_l = lw / cum_w[-1]
+    child = frac_l * _gini(lw - lw1, lw1) + (1 - frac_l) * _gini(rw - rw1, rw1)
+    # feature-major, with no split between tied values. In that order a
+    # candidate wins if it beats the best so far by 1e-15; one that does not
+    # exceed every earlier gain cannot, so only the rest are replayed
+    gain = np.where(vals[i] == vals[i + 1], -np.inf, parent - child).T.ravel()
+    earlier = np.fmax.accumulate(np.concatenate(([0.0], gain)))[:-1]
     best_gain = 0.0
     best = None
-    for j in range(z.shape[1]):
-        order = np.argsort(z[:, j], kind="stable")
-        vals = z[order, j]
-        w = weights[order]
-        lab = labels[order]
-        cum_w1 = np.cumsum(w * (lab == 1))
-        cum_w = np.cumsum(w)
-        # candidate split after position i: left = rows [0..i]
-        i = np.arange(min_leaf - 1, n - min_leaf)
-        i = i[vals[i] != vals[i + 1]]
-        lw = cum_w[i]
-        lw1 = cum_w1[i]
-        rw = cum_w[-1] - lw
-        rw1 = cum_w1[-1] - lw1
-        frac_l = lw / cum_w[-1]
-        child = frac_l * _gini(lw - lw1, lw1) + (1 - frac_l) * _gini(rw - rw1, rw1)
-        gain = parent - child
-        # in order, a candidate wins if it beats the best so far by 1e-15; one
-        # that does not exceed every earlier gain cannot, so only the rest
-        # are replayed
-        earlier = np.fmax.accumulate(np.concatenate(([best_gain], gain)))[:-1]
-        for t in np.flatnonzero(gain > earlier):
-            if gain[t] > best_gain + 1e-15:
-                best_gain = gain[t]
-                best = (j, 0.5 * (vals[i[t]] + vals[i[t] + 1]))
+    for t in np.flatnonzero(gain > earlier):
+        if gain[t] > best_gain + 1e-15:
+            best_gain = gain[t]
+            best = divmod(t, i.size)
     if best is None:
         return _leaf(labels, weights)
 
-    j, threshold = best
+    j, c = best
+    threshold = 0.5 * (vals[i[c], j] + vals[i[c] + 1, j])
     mask = z[:, j] <= threshold
     return {
         "feature": int(j),

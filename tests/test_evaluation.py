@@ -377,6 +377,34 @@ class TestSweeps:
             assert body(report) == body(direct)
         assert not rows[0][1].has_errors
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_sweep_report_equals_run_experiment(self, workers):
+        # every point's cells come back from one map over all points; each
+        # report must still be run_experiment's at its point. At h = 0.995,
+        # above the bump's peak, each set has one class: smote's rebalance
+        # raises, so each of its kinds' cells carries that error
+        bump = fat_oracle()
+        grid = build_grid_test_set(plane_space(), 5, bump, 0.85)
+        kw = dict(init_count=12, methods=("none", "smote"), kinds=("knn", "tree"),
+                  seeds=(0, 1), acquisition_candidates=128, refine_steps=6, grid=grid,
+                  workers=workers)
+        by_h, _ = sweep_threshold(bump, plane_space(), [0.85, 0.7, 0.995], budget=40,
+                                  samplers=("random",), **kw)
+        for h, report in by_h:
+            direct = run_experiment(bump, plane_space(), h, budget=40, samplers=("random",), **kw)
+            assert report.to_json_dict() == direct.to_json_dict() | {
+                "config": {"h": h}, "config_hash": report.config_hash()}
+        cells = by_h[2][1].to_json_dict()["cells"]
+        assert [c["method"] for c in cells if "SMOTE needs" in (c["error"] or "")] == ["smote"] * 4
+        assert all(c["error"] for c in cells)
+        by_budget = sweep_budget(bump, plane_space(), 0.85, [30, 40], samplers=("random", "gp"), **kw)
+        for budget, report in by_budget:
+            direct = run_experiment(bump, plane_space(), 0.85, budget=budget,
+                                    samplers=("random", "gp"), **kw)
+            assert report.to_json_dict() == direct.to_json_dict() | {
+                "config": {"budget": budget}, "config_hash": report.config_hash()}
+            assert not report.has_errors
+
     def test_threshold_sweep_no_extra_oracle_calls(self):
         base = fat_oracle()
         wrapped = caching_oracle(base)

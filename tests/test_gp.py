@@ -3,15 +3,28 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from distrel import _kernels
 from distrel.gp import (
     GpPosterior,
     KernelConfig,
     append,
     fit,
-    kernel_eval,
     median_heuristic_lengthscales,
     predict_batch,
 )
+
+
+def kernel_eval(a, b, cfg: KernelConfig) -> float:
+    """The reference kernel: k(a, b) = signal_variance * exp(-1/2 * sum_j ((a_j-b_j)/l_j)^2)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != (cfg.dim,) or b.shape != (cfg.dim,):
+        raise ValueError(
+            f"kernel_eval dimension mismatch: got {a.shape} and {b.shape}, "
+            f"kernel has {cfg.dim} lengthscales"
+        )
+    t = (a - b) / cfg.lengthscales
+    return float(cfg.signal_variance * np.exp(-0.5 * np.dot(t, t)))
 
 
 def dense_solve_oracle(x, y, lengthscales, variance, jitter, probes):
@@ -65,6 +78,16 @@ class TestKernelEval:
         cfg = KernelConfig(np.ones(3), 1.0)
         with pytest.raises(ValueError, match=r"\(2,\).*\(3,\)|\(3,\).*\(2,\)"):
             kernel_eval(np.zeros(2), np.zeros(3), cfg)
+
+    def test_matches_rbf_cross(self):
+        # the reference agrees with the program's kernel matrix, entry by entry
+        rng = np.random.default_rng(11)
+        cfg = KernelConfig(rng.random(4) + 0.2, 1.7)
+        x, z = rng.random((6, 4)), rng.random((5, 4))
+        k = _kernels.rbf_cross(x, z, cfg.lengthscales, cfg.signal_variance)
+        for i in range(6):
+            for j in range(5):
+                assert k[i, j] == pytest.approx(kernel_eval(x[i], z[j], cfg), rel=1e-12)
 
     def test_bounded_by_signal_variance(self):
         rng = np.random.default_rng(8)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distrel import _kernels
 from distrel.models import (
     KnnModel,
     LogisticModel,
     TreeModel,
+    _build_node,
     load_model,
     logistic_loss_and_grad,
     model_from_dict,
@@ -331,6 +333,70 @@ def test_tree_keeps_first_of_mirrored_splits():
     root = TreeModel.fit(z, plain_set(z, labels, weights), {"max_depth": 1, "min_leaf": 1})["root"]
     assert root == reference_build_node(z, labels, weights, 0, 1, 1)
     assert root["threshold"] == pytest.approx(2.5 / 19)
+
+
+@st.composite
+def node_sets(draw):
+    """Sets of about ``2 * min_leaf`` rows or more, on a coarse lattice so
+    values tie, with unit, reweight-style or arbitrary positive weights."""
+    min_leaf = draw(st.integers(1, 6))
+    n = draw(st.one_of(st.integers(max(2, 2 * min_leaf - 1), 2 * min_leaf + 3),
+                       st.integers(2 * min_leaf, 300)))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = draw(st.integers(1, 8))
+    z = rng.integers(0, steps + 1, (n, d)) / steps
+    labels = (z.sum(axis=1) > rng.random() * d).astype(np.int64)
+    labels ^= (rng.random(n) < draw(st.sampled_from([0.0, 0.2]))).astype(np.int64)
+    labels[rng.choice(n, 2, replace=False)] = [0, 1]
+    weighting = draw(st.sampled_from(["unit", "reweight", "random"]))
+    if weighting == "unit":
+        weights = np.ones(n)
+    elif weighting == "reweight":
+        weights = n / (2.0 * np.bincount(labels, minlength=2)[labels])
+    else:
+        weights = rng.random(n) * 3.0 + 0.05
+    return z, labels, weights, min_leaf
+
+
+@settings(max_examples=150, deadline=None)
+@given(node_sets(), st.integers(1, 8))
+def test_build_node_matches_per_feature_loop(data, max_depth):
+    # every feature scored at once must pick what the loop over features picks
+    z, labels, weights, min_leaf = data
+    got = _build_node(z, labels, weights, 0, max_depth, min_leaf)
+    want = reference_build_node(z, labels, weights, 0, max_depth, min_leaf)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@st.composite
+def knn_cases(draw):
+    """Lattice points with duplicated training rows, so distances tie; level
+    counts around multiples of the 256-level block; k up to past m."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    span = draw(st.integers(1, 4))
+    points = rng.integers(0, span + 1, (m, d)) / span
+    dup = rng.random(m) < draw(st.sampled_from([0.0, 0.5, 0.9]))
+    points[dup] = points[rng.integers(0, m, int(dup.sum()))]
+    n = draw(st.one_of(st.sampled_from([1, 255, 256, 257, 512, 700]), st.integers(1, 600)))
+    levels = rng.integers(0, span + 1, (n, d)) / span
+    if draw(st.booleans()):
+        levels = levels + rng.normal(0.0, 0.01, levels.shape)
+    labels = rng.integers(0, 2, m)
+    return points, labels, levels, draw(st.integers(1, m + 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(knn_cases())
+def test_knn_blocks_match_one_distance_matrix(case):
+    points, labels, levels, k = case
+    got = knn_model(points, labels, k).predict(levels)
+    kk = min(k, points.shape[0])
+    d = _kernels.pairwise_sq_dists(levels, points)
+    votes = labels[_kernels.nearest_k(d, kk, block=levels.shape[0])].sum(axis=1)
+    np.testing.assert_array_equal(got, (2 * votes > kk).astype(np.int64))
 
 
 def knn_model(levels, labels, k):
