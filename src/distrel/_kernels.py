@@ -139,7 +139,12 @@ def pairwise_sq_dists(a, b):
     return sq
 
 
-def nearest_k(d, k, block=256):
+# Rows per block of the k-nearest selection: one block's distances are
+# _NEAREST_BLOCK x m floats for m candidate points.
+_NEAREST_BLOCK = 256
+
+
+def nearest_k(d, k, block=_NEAREST_BLOCK):
     """Column indices of the k smallest entries of each row of ``d``.
 
     Row i of the (n, k) result holds, in ascending index order, the same set
@@ -175,6 +180,17 @@ def nearest_k(d, k, block=256):
                 take[r] = False
                 take[r, np.argsort(rows[r], kind="stable")[:k]] = True
         out[start:start + block] = np.flatnonzero(take).reshape(-1, k) % m
+    return out
+
+
+def nearest_neighbours(a, b, k):
+    """``nearest_k(pairwise_sq_dists(a, b), k)``, one block of rows of ``a``
+    at a time, so no (len(a), len(b)) distance matrix is built. Each block's
+    distances are bit-equal to the same rows of the full matrix."""
+    out = np.empty((a.shape[0], k), dtype=np.int64)
+    for start in range(0, a.shape[0], _NEAREST_BLOCK):
+        d = pairwise_sq_dists(a[start:start + _NEAREST_BLOCK], b)
+        out[start:start + _NEAREST_BLOCK] = nearest_k(d, k)
     return out
 
 

@@ -593,16 +593,15 @@ def main(argv=None) -> int:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         seeds = None if args.seed is None else [args.seed]
         cfg = resolve_config(load_config(args.config), {"out": args.out, "seeds": seeds})
-        # BLAS stays on one thread: undoing a pin restarts OpenBLAS's spinning threads
-        for get_threads, set_threads in _kernels.openblas_thread_controls():
-            if get_threads() != 1:
-                set_threads(1)
         cells = args.command in _CELL_COMMANDS
         if cells and "knn" in cfg["kinds"] and "reweight" in cfg["methods"]:
             # exact: reweight keeps the levels and labels and only sets weights
             print("note: k-NN ignores sample weights, so its reweight cells score as its none cells",
                   file=sys.stderr)
-        return _COMMANDS[args.command](cfg, args)
+        # one pin for the whole command: the pins inside leave BLAS alone, so
+        # OpenBLAS's spinning threads restart once, as the command returns
+        with _kernels.single_threaded_blas():
+            return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

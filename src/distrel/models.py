@@ -35,7 +35,6 @@ from distrel.rebalance import RebalancedSet
 from distrel.space import SearchSpace
 
 MODEL_FORMAT_VERSION = 1
-_KNN_BLOCK = 256  # levels per k-NN distance block of _KNN_BLOCK x m floats
 
 _RIDGE = 1e-8
 _MAX_NEWTON_STEPS = 100
@@ -242,18 +241,15 @@ class KnnModel(_Model):
     def predict(self, levels) -> np.ndarray:
         """Majority vote of the k nearest training points of each level.
 
-        Per block of ``_KNN_BLOCK`` levels, ``pairwise_sq_dists`` gives the
-        squared distances and ``_kernels.nearest_k`` selects the k nearest of
-        each row: the same set as a stable argsort of the row (distance ties
-        go to the lower training index) at O(m) per row of m training points.
+        ``_kernels.nearest_neighbours`` selects the k nearest of each level,
+        one block of levels at a time: the same set as a stable argsort of
+        its distance row (distance ties go to the lower training index) at
+        O(m) per level of m training points.
         """
         z = np.ascontiguousarray(self._normalize(levels))
         points = np.ascontiguousarray(self.points)
         k = min(self.hyper["k"], points.shape[0])
-        votes = np.empty(z.shape[0], dtype=np.int64)
-        for start in range(0, z.shape[0], _KNN_BLOCK):
-            d = _kernels.pairwise_sq_dists(z[start:start + _KNN_BLOCK], points)
-            votes[start:start + _KNN_BLOCK] = self.labels[_kernels.nearest_k(d, k)].sum(axis=1)
+        votes = self.labels[_kernels.nearest_neighbours(z, points, k)].sum(axis=1)
         # strict majority of ones; ties (even k with votes == k/2) go to 0
         return (2 * votes > k).astype(np.int64)
 

@@ -1,12 +1,38 @@
+import contextlib
 import os
 
+import pytest
 from hypothesis import settings
+
+from distrel._kernels import openblas_thread_controls
 
 # CI runs replay the same examples each time and print the blob that
 # reproduces a failure; local runs keep exploring at random.
 settings.register_profile("ci", derandomize=True, print_blob=True)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+
+@contextlib.contextmanager
+def _openblas_threads(count):
+    controls = openblas_thread_controls()
+    original = [get() for get, _ in controls]
+    try:
+        for _, set_threads in controls:
+            set_threads(count)
+        yield
+    finally:
+        for (_, set_threads), n in zip(controls, original):
+            set_threads(n)
+
+
+@pytest.fixture(scope="session")
+def openblas_threads():
+    """``openblas_threads(n)`` sets every loaded OpenBLAS copy to n threads
+    until the block exits, whatever count an earlier test left behind."""
+    return _openblas_threads
+
 
 _acceptance_outcomes = {}
 

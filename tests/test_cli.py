@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distrel import cli
+from distrel import _kernels, cli
 from distrel.cli import ConfigError, build_oracle, build_space, main, resolve_config
 from distrel.distortion import distortion_space
 from distrel.rebalance import RebalancedSet
@@ -275,6 +275,21 @@ class TestSample:
         f1 = (out1 / "samples_gp_seed0.csv").read_bytes()
         f2 = (out2 / "samples_gp_seed0.csv").read_bytes()
         assert f1 == f2
+
+
+def test_command_runs_with_blas_on_one_thread_then_restores_it(tmp_path, monkeypatch,
+                                                             openblas_threads):
+    controls = _kernels.openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread-control symbol loaded in this process")
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "sample",
+                        lambda cfg, args: seen.append([get() for get, _ in controls]) or 0)
+    path = write_config(tmp_path)
+    with openblas_threads(2):
+        assert main(["sample", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    assert seen == [[1] * len(controls)]
 
 
 class TestPipeline:

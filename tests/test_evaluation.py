@@ -205,7 +205,7 @@ class TestRunExperiment:
                 assert getattr(sa[key], name).tobytes() == getattr(sb[key], name).tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_every_run_keeps_blas_on_one_thread(self, workers, monkeypatch):
+    def test_every_run_keeps_blas_on_one_thread(self, workers, monkeypatch, openblas_threads):
         controls = openblas_thread_controls()
         if not controls:
             pytest.skip("no OpenBLAS thread-control symbol loaded in this process")
@@ -227,17 +227,18 @@ class TestRunExperiment:
 
         monkeypatch.setattr(evaluation, "f1_score", probed_f1_score)
 
-        cfg = SamplerConfig(budget=20, init_count=8, acquisition_candidates=64, refine_steps=4)
-        sets = _sample_sets(oracle, plane_space(), 0.85, ("random", "gp"), (0, 1), cfg, workers)
-        for labeled in sets.values():
-            assert np.array_equal(labeled.accuracies, bump.evaluate_many(labeled.levels))
-        # the grid too, labelled alone and inside a whole run
-        grid = build_grid_test_set(plane_space(), 5, oracle, 0.85)
-        assert np.array_equal(grid.accuracies, bump.evaluate_many(grid.levels))
-        report = run_experiment(oracle, plane_space(), 0.85, workers=workers, **fast_kwargs(
-            budget=20, init_count=8, methods=("none",), seeds=(0, 1)))
-        assert report.grid_positive_count == grid.positive_count > 0
-        assert len(report.cells) == 4
+        with openblas_threads(2):  # so only the library's own pins set one thread
+            cfg = SamplerConfig(budget=20, init_count=8, acquisition_candidates=64, refine_steps=4)
+            sets = _sample_sets(oracle, plane_space(), 0.85, ("random", "gp"), (0, 1), cfg, workers)
+            for labeled in sets.values():
+                assert np.array_equal(labeled.accuracies, bump.evaluate_many(labeled.levels))
+            # the grid too, labelled alone and inside a whole run
+            grid = build_grid_test_set(plane_space(), 5, oracle, 0.85)
+            assert np.array_equal(grid.accuracies, bump.evaluate_many(grid.levels))
+            report = run_experiment(oracle, plane_space(), 0.85, workers=workers, **fast_kwargs(
+                budget=20, init_count=8, methods=("none",), seeds=(0, 1)))
+            assert report.grid_positive_count == grid.positive_count > 0
+            assert len(report.cells) == 4
         assert all(c.error is None and c.metrics.f1 >= 0.0 for c in report.cells)
 
     def test_unpicklable_oracle_runs_on_workers(self):

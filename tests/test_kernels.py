@@ -21,15 +21,17 @@ def test_pairwise_sq_dists_never_negative():
     assert np.allclose(np.diag(d), 0.0, atol=1e-12)
 
 
-def test_pairwise_sq_dists_row_block_matches_full_matrix():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pairwise_sq_dists_row_block_matches_full_matrix(threads, openblas_threads):
     # k-NN prediction computes its distances one block of levels at a time
     rng = np.random.default_rng(12)
     a = rng.random((1000, 6))
     b = rng.random((600, 6))
-    full = _kernels.pairwise_sq_dists(a, b)
-    for start in range(0, 1000, 256):
-        block = _kernels.pairwise_sq_dists(a[start:start + 256], b)
-        assert np.array_equal(block, full[start:start + 256])
+    with openblas_threads(threads):
+        full = _kernels.pairwise_sq_dists(a, b)
+        for start in range(0, 1000, 256):
+            block = _kernels.pairwise_sq_dists(a[start:start + 256], b)
+            assert np.array_equal(block, full[start:start + 256])
 
 
 @needs_openblas

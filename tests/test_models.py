@@ -388,14 +388,16 @@ def knn_cases(draw):
     return points, labels, levels, draw(st.integers(1, m + 3))
 
 
-@settings(max_examples=150, deadline=None)
+@pytest.mark.parametrize("threads", [1, 2])
+@settings(max_examples=100, deadline=None)
 @given(knn_cases())
-def test_knn_blocks_match_one_distance_matrix(case):
+def test_knn_blocks_match_one_distance_matrix(threads, openblas_threads, case):
     points, labels, levels, k = case
-    got = knn_model(points, labels, k).predict(levels)
     kk = min(k, points.shape[0])
-    d = _kernels.pairwise_sq_dists(levels, points)
-    votes = labels[_kernels.nearest_k(d, kk, block=levels.shape[0])].sum(axis=1)
+    with openblas_threads(threads):
+        got = knn_model(points, labels, k).predict(levels)
+        d = _kernels.pairwise_sq_dists(levels, points)
+        votes = labels[_kernels.nearest_k(d, kk, block=levels.shape[0])].sum(axis=1)
     np.testing.assert_array_equal(got, (2 * votes > kk).astype(np.int64))
 
 
