@@ -8,8 +8,8 @@ one gather per block of images. Rain streaks come in two steps:
 ``streak_plan`` finds the pixels each streak covers and their blend weights,
 once per set of streaks (the caller caches it), and ``render_streaks``
 blends only those pixels, one streak index at a time. ``single_threaded_blas``
-pins BLAS to one thread for the tight refit/predict loops and for every
-sampler run.
+pins BLAS to one thread for each CLI command, the tight refit/predict loops
+and every sampler run. ``nearest_neighbours`` is the blocked k-nearest search.
 """
 
 import contextlib
@@ -139,9 +139,7 @@ def pairwise_sq_dists(a, b):
     return sq
 
 
-# Rows per block of the k-nearest selection: one block's distances are
-# _NEAREST_BLOCK x m floats for m candidate points.
-_NEAREST_BLOCK = 256
+_NEAREST_BLOCK = 256  # rows per block of a k-nearest search: block x m distances
 
 
 def nearest_k(d, k, block=_NEAREST_BLOCK):
@@ -184,9 +182,8 @@ def nearest_k(d, k, block=_NEAREST_BLOCK):
 
 
 def nearest_neighbours(a, b, k):
-    """``nearest_k(pairwise_sq_dists(a, b), k)``, one block of rows of ``a``
-    at a time, so no (len(a), len(b)) distance matrix is built. Each block's
-    distances are bit-equal to the same rows of the full matrix."""
+    """``nearest_k(pairwise_sq_dists(a, b), k)``, bit for bit, one block of
+    rows of ``a`` at a time: no (len(a), len(b)) distance matrix is built."""
     out = np.empty((a.shape[0], k), dtype=np.int64)
     for start in range(0, a.shape[0], _NEAREST_BLOCK):
         d = pairwise_sq_dists(a[start:start + _NEAREST_BLOCK], b)

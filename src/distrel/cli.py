@@ -598,8 +598,7 @@ def main(argv=None) -> int:
             # exact: reweight keeps the levels and labels and only sets weights
             print("note: k-NN ignores sample weights, so its reweight cells score as its none cells",
                   file=sys.stderr)
-        # one pin for the whole command: the pins inside leave BLAS alone, so
-        # OpenBLAS's spinning threads restart once, as the command returns
+        # the pins nested in this one leave BLAS alone: its threads restart once, at the end
         with _kernels.single_threaded_blas():
             return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
