@@ -142,7 +142,7 @@ def pairwise_sq_dists(a, b):
 _NEAREST_BLOCK = 256  # rows per block of a k-nearest search: block x m distances
 
 
-def nearest_k(d, k, block=_NEAREST_BLOCK):
+def nearest_k(d, k):
     """Column indices of the k smallest entries of each row of ``d``.
 
     Row i of the (n, k) result holds, in ascending index order, the same set
@@ -150,35 +150,30 @@ def nearest_k(d, k, block=_NEAREST_BLOCK):
     the lower column index, and NaN ranks after every number, +inf included,
     with NaN ties also going to the lower index. Needs 1 <= k <= d.shape[1].
 
-    No row is sorted. Per block of ``block`` rows, ``np.partition`` finds the
-    k-th smallest value; every column strictly below it is taken, and
-    columns equal to it are taken in index order until k are. That is
-    O(m) per row of m columns against O(m log m) for the sort, and no
-    (n, m) index matrix is built. A row whose k-th smallest value is NaN
-    falls back to its own stable argsort.
+    No row is sorted. ``np.partition`` finds each row's k-th smallest value;
+    every column strictly below it is taken, and columns equal to it are
+    taken in index order until k are. That is O(m) per row of m columns
+    against O(m log m) for the sort, and no (n, m) index matrix is built. A
+    row whose k-th smallest value is NaN falls back to its own stable argsort.
     """
     n, m = d.shape
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
-    out = np.empty((n, k), dtype=np.int64)
-    for start in range(0, n, block):
-        rows = d[start:start + block]
-        kth = np.partition(rows, k - 1, axis=1)[:, k - 1:k]
-        take = rows <= kth
-        # rows with more than k columns at or below the k-th value keep the
-        # lowest-index columns equal to it; a NaN k-th value takes none
-        over = np.flatnonzero(np.count_nonzero(take, axis=1) != k)
-        if over.size:
-            sub, sub_kth = rows[over], kth[over]
-            below = sub < sub_kth
-            tied = sub == sub_kth
-            room = k - np.count_nonzero(below, axis=1)
-            take[over] = below | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
-            for r in over[np.isnan(sub_kth[:, 0])]:
-                take[r] = False
-                take[r, np.argsort(rows[r], kind="stable")[:k]] = True
-        out[start:start + block] = np.flatnonzero(take).reshape(-1, k) % m
-    return out
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+    take = d <= kth
+    # rows with more than k columns at or below the k-th value keep the
+    # lowest-index columns equal to it; a NaN k-th value takes none
+    over = np.flatnonzero(np.count_nonzero(take, axis=1) != k)
+    if over.size:
+        sub, sub_kth = d[over], kth[over]
+        below = sub < sub_kth
+        tied = sub == sub_kth
+        room = k - np.count_nonzero(below, axis=1)
+        take[over] = below | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+        for r in over[np.isnan(sub_kth[:, 0])]:
+            take[r] = False
+            take[r, np.argsort(d[r], kind="stable")[:k]] = True
+    return np.flatnonzero(take).reshape(n, k) % m
 
 
 def nearest_neighbours(a, b, k):

@@ -79,10 +79,6 @@ def _fail(field, message):
     raise ConfigError(f"config field {field!r}: {message}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -110,7 +106,7 @@ def resolve_config(raw: dict, overrides: dict = None) -> dict:
         if value is not None:
             cfg[key] = value
 
-    if not _is_int(cfg["config_version"]) or cfg["config_version"] != CONFIG_VERSION:
+    if not ev._is_int(cfg["config_version"]) or cfg["config_version"] != CONFIG_VERSION:
         _fail("config_version", f"expected {CONFIG_VERSION}, got {cfg['config_version']!r}")
     if cfg.get("oracle") is None:
         _fail("oracle", "missing; give a preset or an oracle spec")
@@ -197,7 +193,7 @@ def _resolve_oracle_field(value):
             _fail("oracle.classifier", f"must be 'nearest-centroid' or 'k-nn', got {clf!r}")
         value["classifier"] = clf
         value.setdefault("rain_seed", 0)
-        if not _is_int(value["rain_seed"]) or value["rain_seed"] < 0:
+        if not ev._is_int(value["rain_seed"]) or value["rain_seed"] < 0:
             _fail("oracle.rain_seed", f"must be an unsigned integer, got {value['rain_seed']!r}")
     return value
 
@@ -220,7 +216,7 @@ def _classifier_dataset(spec: dict) -> dict:
                       f"got {d[need]!r}")
         minimum = {"verification_limit": 1, "train_limit": 1}
     else:
-        if not _is_int(d["n_classes"]) or not 2 <= d["n_classes"] <= 4:
+        if not ev._is_int(d["n_classes"]) or not 2 <= d["n_classes"] <= 4:
             _fail("oracle.dataset.n_classes", f"must be an integer in [2, 4], got {d['n_classes']!r}")
         if not _is_number(d["noise"]) or not 0.0 <= d["noise"] < float("inf"):
             _fail("oracle.dataset.noise", f"must be a finite number >= 0, got {d['noise']!r}")
@@ -228,7 +224,7 @@ def _classifier_dataset(spec: dict) -> dict:
         minimum = {"n_verification": d["n_classes"], "n_train": d["n_classes"],
                    "size": 1, "seed": 0}
     for name, least in minimum.items():
-        if not _is_int(d[name]) or d[name] < least:
+        if not ev._is_int(d[name]) or d[name] < least:
             _fail(f"oracle.dataset.{name}", f"must be an integer >= {least}, got {d[name]!r}")
     return d
 

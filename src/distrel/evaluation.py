@@ -37,7 +37,6 @@ RUN_OPTIONS = {
     "init_count": SamplerConfig.init_count,
     "delta": SamplerConfig.delta,
     "acquisition_candidates": SamplerConfig.acquisition_candidates,
-    "refine_steps": SamplerConfig.refine_steps,
     "samplers": SAMPLERS,
     "methods": ("none", "smote"),
     "kinds": models_mod.KINDS,

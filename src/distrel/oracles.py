@@ -273,8 +273,9 @@ class NearestCentroidClassifier:
 class KnnImageClassifier:
     """k-nearest-neighbor vote over stored training images.
 
-    The k nearest come from ``_kernels.nearest_k``, so distance ties go to the
-    lower training index; class-count ties go to the lowest class index.
+    The k nearest come from ``_kernels.nearest_neighbours``, one block of
+    images at a time, so distance ties go to the lower training index;
+    class-count ties go to the lowest class index.
     """
 
     def __init__(self, train_x, train_y, n_classes, image_shape, k=5):
@@ -285,9 +286,9 @@ class KnnImageClassifier:
         self.k = k
 
     def predict(self, images) -> np.ndarray:
-        d = _kernels.pairwise_sq_dists(_flatten(images, self.image_shape), self.train_x)
+        flat = _flatten(images, self.image_shape)
         k = min(self.k, self.train_x.shape[0])
-        votes = self.train_y[_kernels.nearest_k(d, k)]
+        votes = self.train_y[_kernels.nearest_neighbours(flat, self.train_x, k)]
         counts = np.sum(votes[:, :, None] == np.arange(self.n_classes), axis=1)
         return np.argmax(counts, axis=1)
 

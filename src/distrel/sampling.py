@@ -34,7 +34,6 @@ from distrel._kernels import single_threaded_blas
 from distrel.space import SearchSpace
 
 DUPLICATE_SUGGESTION_TOL = 1e-9
-REFINE_INITIAL_STEP = 0.05  # fraction of each dimension's range
 # the GP loop refits in full once t has grown by this factor since the last refit
 REFRESH_GROWTH = 1.1
 
@@ -101,19 +100,16 @@ class LabeledSet:
 @dataclass(frozen=True)
 class SamplerConfig:
     """Knobs for the GP-guided sampling loop: ``acquisition_candidates`` is
-    the pool size, and ``refine_steps`` > 0 adds a hill climb from the pool's
-    best candidate (off by default: random candidates come within 1-2 % of
-    its acquisition value, and only the climb lands on the box faces)."""
+    the size of the uniform candidate pool whose best member is each pick."""
 
     budget: int
     init_count: int = 20
     delta: float = 0.1
     acquisition_candidates: int = 2048
-    refine_steps: int = 0
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("budget", "init_count", "acquisition_candidates", "refine_steps", "seed"):
+        for name in ("budget", "init_count", "acquisition_candidates", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
@@ -132,8 +128,6 @@ class SamplerConfig:
             raise ValueError(
                 f"acquisition_candidates must be >= 1, got {self.acquisition_candidates}"
             )
-        if self.refine_steps < 0:
-            raise ValueError(f"refine_steps must be >= 0, got {self.refine_steps}")
 
 
 def minority_label(labels) -> int:
@@ -156,18 +150,6 @@ def beta_coefficient(t: int, d: int, delta: float) -> float:
     if not delta > 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     return 2.0 * (math.log(d * t * math.pi**2) - math.log(6.0 * delta))
-
-
-def acquisition(gp, points, h: float, beta: float, sign: float = 1.0) -> np.ndarray:
-    """Score each row of ``points`` (or a single level) against the posterior;
-    higher is more promising. ``sign`` is +1.0 or -1.0, the direction of the
-    mean term.
-
-    ``points`` must be in the coordinate system the posterior was fitted in.
-    """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    return _ucb(*gpmod.predict_batch(gp, points), h, beta, sign)
 
 
 def _ucb(mean, var, h: float, beta: float, sign: float) -> np.ndarray:
@@ -263,39 +245,21 @@ def suggest_next(
     rng: np.random.Generator,
     pool: _CandidatePool = None,
 ) -> np.ndarray:
-    """Approximate argmax of the acquisition over the box; returns a raw level.
+    """The acquisition argmax over a pool of uniform candidates; returns a raw level.
 
     Takes the best candidate of ``pool``, whose posterior must be ``gp``, or
     of a fresh pool of ``acquisition_candidates`` uniform points when none is
-    given; the pick leaves the pool. With ``refine_steps`` > 0, coordinate-wise
-    hill climbing follows: each refinement step probes +-step along every
-    axis, moves to the best improving probe, and halves the step.
-    Collisions with existing training inputs get nudged by up to 0.5% of each
-    range so the next factorization stays well-posed. The mean term follows
-    the minority among the posterior's training targets labeled against ``h``.
+    given; the pick leaves the pool. A pick that collides with a training
+    input gets nudged by up to 0.5% of each range so the next factorization
+    stays well-posed. The mean term follows the minority among the
+    posterior's training targets labeled against ``h``.
     """
     d = space.dim
     sign = 1.0 if minority_label(gp.targets >= h) == 1 else -1.0
     if pool is None:
         pool = _CandidatePool(gp, rng.random((cfg.acquisition_candidates, d)), len(gp.inputs))
     q = _ucb(*pool.moments(), h, beta, sign)
-    best = int(np.argmax(q))
-    q_best = q[best]
-    z_best = pool.take(best)
-
-    step = REFINE_INITIAL_STEP
-    rows = np.arange(d)
-    for _ in range(cfg.refine_steps):
-        probes = np.repeat(z_best[None, :], 2 * d, axis=0)
-        probes[2 * rows, rows] = np.minimum(z_best + step, 1.0)
-        probes[2 * rows + 1, rows] = np.maximum(z_best - step, 0.0)
-        q_probe = acquisition(gp, probes, h, beta, sign)
-        k = int(np.argmax(q_probe))
-        if q_probe[k] > q_best:
-            z_best = probes[k].copy()
-            q_best = q_probe[k]
-        step *= 0.5
-
+    z_best = pool.take(int(np.argmax(q)))
     for _ in range(100):
         gap = np.min(np.max(np.abs(gp.inputs - z_best), axis=1))
         if gap > DUPLICATE_SUGGESTION_TOL:

@@ -240,7 +240,6 @@ def test_criterion_10_pipeline_determinism(tmp_path):
         "seeds": [0, 1],
         "points_per_dim": 3,
         "acquisition_candidates": 256,
-        "refine_steps": 8,
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))

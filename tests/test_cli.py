@@ -36,7 +36,6 @@ BASE_CONFIG = {
     "seeds": [0],
     "points_per_dim": 2,
     "acquisition_candidates": 64,
-    "refine_steps": 4,
 }
 
 
@@ -68,6 +67,16 @@ class TestValidation:
         rc = main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "extra_knob" in capsys.readouterr().err
+
+    def test_refine_steps_is_an_unknown_field(self, tmp_path, capsys, monkeypatch):
+        # each pick is its candidate pool's argmax, with no hill climb to tune
+        monkeypatch.setattr(cli, "build_oracle", lambda cfg: pytest.fail("oracle built"))
+        path = write_config(tmp_path, refine_steps=8)
+        out = tmp_path / "o"
+        rc = main(["sample", "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        assert "unknown config fields: ['refine_steps']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_budget_must_exceed_init(self, tmp_path, capsys):
         path = write_config(tmp_path, budget=5, init_count=10)
@@ -189,7 +198,7 @@ WRONG_VALUES = st.one_of(
 TOP_FIELDS = [
     "config_version", "space", "h", "h_preset", "budget", "init_count", "delta",
     "samplers", "methods", "kinds", "seeds", "points_per_dim",
-    "acquisition_candidates", "refine_steps", "budgets", "thresholds", "out", "oracle",
+    "acquisition_candidates", "budgets", "thresholds", "out", "oracle",
 ]
 ORACLE_FIELDS = [
     "kind", "lower", "upper", "inside_value", "outside_value", "centers", "scales", "peaks",

@@ -52,7 +52,6 @@ def fast_kwargs(**over):
         seeds=(0,),
         points_per_dim=5,
         acquisition_candidates=128,
-        refine_steps=6,
     )
     kw.update(over)
     return kw
@@ -195,8 +194,7 @@ class TestRunExperiment:
         assert a.oracle_calls == b.oracle_calls
         # the training sets themselves, bit for bit
         cfg = SamplerConfig(budget=kw["budget"], init_count=kw["init_count"],
-                            acquisition_candidates=kw["acquisition_candidates"],
-                            refine_steps=kw["refine_steps"])
+                            acquisition_candidates=kw["acquisition_candidates"])
         sa = _sample_sets(oracle, plane_space(), 0.85, kw["samplers"], kw["seeds"], cfg, 1)
         sb = _sample_sets(oracle, plane_space(), 0.85, kw["samplers"], kw["seeds"], cfg, 3)
         assert list(sa) == list(sb)
@@ -228,7 +226,7 @@ class TestRunExperiment:
         monkeypatch.setattr(evaluation, "f1_score", probed_f1_score)
 
         with openblas_threads(2):  # so only the library's own pins set one thread
-            cfg = SamplerConfig(budget=20, init_count=8, acquisition_candidates=64, refine_steps=4)
+            cfg = SamplerConfig(budget=20, init_count=8, acquisition_candidates=64)
             sets = _sample_sets(oracle, plane_space(), 0.85, ("random", "gp"), (0, 1), cfg, workers)
             for labeled in sets.values():
                 assert np.array_equal(labeled.accuracies, bump.evaluate_many(labeled.levels))
@@ -322,7 +320,7 @@ class TestSweeps:
             oracle, plane_space(), 0.85, [30, 60],
             init_count=12, samplers=("random",), methods=("none",),
             kinds=("knn",), seeds=(0,), points_per_dim=5,
-            acquisition_candidates=128, refine_steps=6,
+            acquisition_candidates=128,
         )
         assert [b for b, _ in rows] == [30, 60]
         assert rows[0][1].grid_size == rows[1][1].grid_size
@@ -339,7 +337,7 @@ class TestSweeps:
         for workers in (1, 2):
             kw = dict(
                 init_count=12, samplers=("random", "gp"), methods=("none", "smote"),
-                kinds=("knn", "tree"), seeds=(0, 1), acquisition_candidates=128, refine_steps=6,
+                kinds=("knn", "tree"), seeds=(0, 1), acquisition_candidates=128,
                 grid=grid, workers=workers,
             )
             direct = run_experiment(oracle, plane_space(), 0.85, budget=40, **kw)
@@ -387,7 +385,7 @@ class TestSweeps:
         bump = fat_oracle()
         grid = build_grid_test_set(plane_space(), 5, bump, 0.85)
         kw = dict(init_count=12, methods=("none", "smote"), kinds=("knn", "tree"),
-                  seeds=(0, 1), acquisition_candidates=128, refine_steps=6, grid=grid,
+                  seeds=(0, 1), acquisition_candidates=128, grid=grid,
                   workers=workers)
         by_h, _ = sweep_threshold(bump, plane_space(), [0.85, 0.7, 0.995], budget=40,
                                   samplers=("random",), **kw)
@@ -413,7 +411,7 @@ class TestSweeps:
             wrapped, plane_space(), [0.85, 0.7, 0.9],
             budget=50, init_count=12, samplers=("random",), methods=("none",),
             kinds=("knn",), seeds=(0,), points_per_dim=5,
-            acquisition_candidates=128, refine_steps=6,
+            acquisition_candidates=128,
         )
         assert len(rows) == 3
         assert audit["extra_calls_during_sweep"] == 0
@@ -429,7 +427,7 @@ class TestSweeps:
                 fat_oracle(), plane_space(), [0.85, 0.7, 0.995],
                 budget=50, init_count=12, samplers=("random", "gp"), methods=("none",),
                 kinds=("knn",), seeds=(0, 1), points_per_dim=5,
-                acquisition_candidates=128, refine_steps=6, workers=workers,
+                acquisition_candidates=128, workers=workers,
             )
             out.append(([r.to_json_dict() for _, r in rows], audit))
         assert out[1] == out[0]
@@ -444,7 +442,7 @@ class TestSweeps:
             base, plane_space(), [0.5, 0.7, 0.9],
             budget=50, init_count=12, samplers=("random",), methods=("none",),
             kinds=("knn",), seeds=(0,), points_per_dim=5,
-            acquisition_candidates=128, refine_steps=6,
+            acquisition_candidates=128,
         )
         positives = [r.positive_counts[("random", 0)] for _, r in rows]
         assert positives[0] >= positives[1] >= positives[2]
@@ -479,7 +477,7 @@ class TestSweeps:
         rows = sweep_budget(
             oracle, plane_space(), 0.85, [30],
             init_count=12, samplers=("random",), methods=("none",), kinds=("knn",),
-            seeds=(0,), points_per_dim=5, acquisition_candidates=128, refine_steps=6,
+            seeds=(0,), points_per_dim=5, acquisition_candidates=128,
         )
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, rows, "budget")

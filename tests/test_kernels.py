@@ -104,14 +104,14 @@ def distance_matrices(draw):
     d = _kernels.pairwise_sq_dists(queries, points)
     for value in (np.nan, np.inf):
         d[rng.random(d.shape) < draw(st.sampled_from([0.0, 0.1, 0.6]))] = value
-    return d, draw(st.integers(1, m)), draw(st.integers(1, n + 1))
+    return d, draw(st.integers(1, m))
 
 
 @settings(max_examples=300, deadline=None)
 @given(distance_matrices())
 def test_nearest_k_matches_stable_argsort(case):
-    d, k, block = case
-    got = _kernels.nearest_k(d, k, block)
+    d, k = case
+    got = _kernels.nearest_k(d, k)
     np.testing.assert_array_equal(got, reference_nearest_k(d, k))
 
 

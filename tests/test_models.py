@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distrel import _kernels
@@ -153,6 +153,9 @@ def two_class_sets(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(two_class_sets())
+# three copies of one level: the Newton step stays at rounding noise over the
+# ridge, just above the step test, so the fit ends on its gradient norm
+@example(plain_set([[0.75, 1.0, 0.0, 1.0]] * 3, [0, 1, 0], [0.1, 0.75, 0.65625]))
 def test_logistic_fit_reaches_penalised_optimum(data):
     model = train("logistic", data, unit_space(data.levels.shape[1]))
     x = np.hstack([np.ones((data.n, 1)), data.levels])
@@ -397,7 +400,7 @@ def test_knn_blocks_match_one_distance_matrix(threads, openblas_threads, case):
     with openblas_threads(threads):
         got = knn_model(points, labels, k).predict(levels)
         d = _kernels.pairwise_sq_dists(levels, points)
-        votes = labels[_kernels.nearest_k(d, kk, block=levels.shape[0])].sum(axis=1)
+        votes = labels[_kernels.nearest_k(d, kk)].sum(axis=1)
     np.testing.assert_array_equal(got, (2 * votes > kk).astype(np.int64))
 
 

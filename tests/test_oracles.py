@@ -174,13 +174,14 @@ class TestBlobsAndClassifiers:
 
     def test_knn_vote_matches_explicit_loop_on_ties(self):
         # eight distinct images, each stored three times under random labels:
-        # neighbours tie on distance, and k = 4 gives 2-2 vote ties
+        # neighbours tie on distance, and k = 4 gives 2-2 vote ties; 300
+        # queries span more than one block of the k-nearest search
         rng = np.random.default_rng(12)
         distinct = rng.random((8, 4, 4))
         train_x = np.repeat(distinct, 3, axis=0).reshape(24, -1)
         train_y = rng.integers(0, 3, 24)
         clf = KnnImageClassifier(train_x, train_y, 3, (4, 4), k=4)
-        queries = np.concatenate([distinct, rng.random((40, 4, 4))])
+        queries = np.concatenate([distinct, rng.random((292, 4, 4))])
         d = _kernels.pairwise_sq_dists(queries.reshape(len(queries), -1), train_x)
         want, two_two = [], 0
         for row in d:
@@ -439,7 +440,7 @@ BOUNDARY_BUMP = ellipsoid_spec(BOUNDARY_SPACE, 0.25)
 BOUNDARY_RUNS = {
     "random": lambda oracle: run_random_sampling(oracle, BOUNDARY_SPACE, 0.85, 12, 3),
     "gp": lambda oracle: run_gp_sampling(oracle, BOUNDARY_SPACE, 0.85, SamplerConfig(
-        budget=12, init_count=4, acquisition_candidates=64, refine_steps=4, seed=3)),
+        budget=12, init_count=4, acquisition_candidates=64, seed=3)),
     "grid": lambda oracle: build_grid_test_set(BOUNDARY_SPACE, 4, oracle, 0.85),
 }
 
