@@ -14,13 +14,16 @@ the number of images, the streak count and the image size, never on the
 pixels or the other five coordinates. So each image's streak parameters are
 drawn once, and so is each set's rain plan (the pixels every streak covers
 and their blend weights); both live in bounded caches of read-only arrays.
+
+The warp's degree-exact trig is ``scipy.special``'s, imported on the first
+warp; ``evaluation.load_scipy`` imports it before a run with an image oracle
+pins BLAS or forks.
 """
 
 import functools
 import math
 
 import numpy as np
-from scipy.special import cosdg, sindg
 
 from distrel import _kernels
 from distrel.space import SearchSpace
@@ -87,6 +90,9 @@ def check_pixel_range(images) -> None:
 
 def _inverse_affine(width, height, scale, rotation_deg, tx, ty):
     """Coefficients mapping destination (x, y) back to source coordinates."""
+    # imported on use: only image oracles warp, and the other commands never load scipy
+    from scipy.special import cosdg, sindg
+
     cx = (width - 1) / 2.0
     cy = (height - 1) / 2.0
     shift_x = cx + tx * width

@@ -17,6 +17,10 @@ once, where they can arise: inputs are distinct (the sampler draws its first
 ones uniformly, and ``sampling.suggest_next`` keeps each later pick more than
 1e-9 from earlier inputs), and targets are accuracies in [0, 1]
 (``oracles.query`` and ``oracles.evaluate_many`` refuse any other answer).
+
+This is the one module that needs ``scipy.linalg``, and it imports it at
+the top. ``sampling`` imports this module only when the GP sampler runs, and
+``evaluation.load_scipy`` imports it before a run pins BLAS or forks.
 """
 
 from dataclasses import dataclass

@@ -20,12 +20,13 @@ tree leaf ties map to label 0.
 Cost. k-NN ``predict`` takes the k nearest training points of each level as
 a stable argsort of its distance row would, distance ties going to the
 lower training index, but selects them without sorting: O(m) per level for
-m training points, one block of 256 levels at a time, so at most 256 x m
-distances exist at once. The tree sorts every feature of a node at once and
-scores every split candidate of every feature in one numpy pass, then
-replays the sequential first-wins rule (feature by feature, a gain must
-beat the best so far by 1e-15) over the candidates that set a new running
-maximum, so it picks the same splits as a candidate-by-candidate loop.
+m training points, one block of ``_kernels._NEAREST_BLOCK`` (64) levels at
+a time, so at most 64 x m distances exist at once. The tree sorts every
+feature of a node at once and scores every split candidate of every
+feature in one numpy pass, then replays the sequential first-wins rule
+(feature by feature, a gain must beat the best so far by 1e-15) over the
+candidates that set a new running maximum, so it picks the same splits as
+a candidate-by-candidate loop.
 """
 
 import numpy as np

@@ -19,6 +19,10 @@ Both samplers ask the oracle only through ``distrel.oracles``: the random
 sampler and the GP's initial draws as one ``evaluate_many`` batch, each GP
 step as one ``query``. So an oracle that fails or answers outside [0, 1]
 stops a run with ``OracleError`` naming the level.
+
+``distrel.gp``, and with it scipy, is imported by the GP sampler's functions
+when they first run, not with this module, so a random-only run never loads
+scipy. ``evaluation.load_scipy`` imports it before a run's BLAS pin and forks.
 """
 
 import math
@@ -28,7 +32,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from distrel import _kernels, files
-from distrel import gp as gpmod
 from distrel import oracles
 from distrel._kernels import single_threaded_blas
 from distrel.space import SearchSpace
@@ -168,6 +171,8 @@ class _CandidatePool:
     """
 
     def __init__(self, post, candidates: np.ndarray, capacity: int):
+        from distrel import gp as gpmod
+
         v = gpmod.whitened_cross(post, candidates)
         self.post = post
         self.z = candidates
@@ -199,6 +204,8 @@ class _CandidatePool:
     def add(self, point, value) -> bool:
         """Append one observation to the posterior and one row to V; False,
         changing nothing, when the new pivot is not positive."""
+        from distrel import gp as gpmod
+
         post = gpmod.append(self.post, point, value)
         if post is None:
             return False
@@ -221,6 +228,8 @@ def _signal_variance(targets) -> float:
 def _refresh(z, accs, cfg: SamplerConfig, rng) -> _CandidatePool:
     """A full refit: median-heuristic lengthscales recomputed, a full ``fit``
     (which escalates the jitter if it must) and a fresh candidate pool."""
+    from distrel import gp as gpmod
+
     t, d = z.shape
     lengthscales = gpmod.median_heuristic_lengthscales(z) if t >= 2 else np.ones(d)
     kcfg = gpmod.KernelConfig(lengthscales, _signal_variance(accs), jitter=1e-10)

@@ -27,11 +27,12 @@ def test_pairwise_sq_dists_row_block_matches_full_matrix(threads, openblas_threa
     rng = np.random.default_rng(12)
     a = rng.random((1000, 6))
     b = rng.random((600, 6))
+    step = _kernels._NEAREST_BLOCK
     with openblas_threads(threads):
         full = _kernels.pairwise_sq_dists(a, b)
-        for start in range(0, 1000, 256):
-            block = _kernels.pairwise_sq_dists(a[start:start + 256], b)
-            assert np.array_equal(block, full[start:start + 256])
+        for start in range(0, 1000, step):
+            block = _kernels.pairwise_sq_dists(a[start:start + step], b)
+            assert np.array_equal(block, full[start:start + step])
 
 
 @needs_openblas

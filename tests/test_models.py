@@ -375,7 +375,7 @@ def test_build_node_matches_per_feature_loop(data, max_depth):
 @st.composite
 def knn_cases(draw):
     """Lattice points with duplicated training rows, so distances tie; level
-    counts around multiples of the 256-level block; k up to past m."""
+    counts around the k-NN block and its double; k up to past m."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(1, 40))
     d = draw(st.integers(1, 4))
@@ -383,7 +383,9 @@ def knn_cases(draw):
     points = rng.integers(0, span + 1, (m, d)) / span
     dup = rng.random(m) < draw(st.sampled_from([0.0, 0.5, 0.9]))
     points[dup] = points[rng.integers(0, m, int(dup.sum()))]
-    n = draw(st.one_of(st.sampled_from([1, 255, 256, 257, 512, 700]), st.integers(1, 600)))
+    block = _kernels._NEAREST_BLOCK
+    n = draw(st.one_of(st.sampled_from([1, block - 1, block, block + 1, 2 * block, 700]),
+                       st.integers(1, 600)))
     levels = rng.integers(0, span + 1, (n, d)) / span
     if draw(st.booleans()):
         levels = levels + rng.normal(0.0, 0.01, levels.shape)
