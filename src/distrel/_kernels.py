@@ -100,7 +100,7 @@ def single_threaded_blas():
     OpenBLAS loaded at entry is pinned through its own thread-count setter;
     any other BLAS is left alone. A copy mapped after entry, such as scipy's
     when scipy is first imported inside the block, keeps its own thread
-    count, so ``evaluation.load_scipy`` imports scipy before the pins.
+    count, so the GP sampler's callers import ``distrel.gp`` before a pin.
     """
     return _pinned_openblas(openblas_thread_controls())
 
@@ -142,7 +142,8 @@ def pairwise_sq_dists(a, b):
 
 
 # rows per block of a k-nearest search, so block x m distances at once: of
-# 32, 64, 128 and 256, 64 timed fastest over 4096 levels at m = 300 to 1200
+# 32, 64, 128 and 256, 64 timed fastest over 4096 levels at m = 600 and 1200;
+# at m = 300 all four were within noise
 _NEAREST_BLOCK = 64
 
 

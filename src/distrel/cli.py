@@ -12,9 +12,10 @@ output byte is the same for any N. An error raised in a worker is reported
 as it would be without workers. Every command runs with BLAS on one thread.
 
 Only two paths load scipy: the GP sampler (``distrel.gp``) and an image
-oracle's warp (``scipy.special``). ``main`` imports the ones a command will
-use before it pins BLAS, so ``train``, ``rebalance``, ``report`` and every
-random-only or synthetic-oracle command start without scipy.
+oracle's warp (``scipy.special``, on its first warp). ``main`` imports
+``distrel.gp`` before it pins BLAS when a command samples with the GP, so
+``train``, ``rebalance``, ``report`` and every random-only command on a
+synthetic oracle start without scipy.
 
 Exit codes: 0 success, 1 validation error or an input file that cannot be
 read or parsed, 2 partial cell failure, 3 runtime failure.
@@ -599,11 +600,9 @@ def main(argv=None) -> int:
             # exact: reweight keeps the levels and labels and only sets weights
             print("note: k-NN ignores sample weights, so its reweight cells score as its none cells",
                   file=sys.stderr)
-        # scipy loads before the pin, which pins only the OpenBLAS copies mapped at its entry
-        samples = cells or args.command == "sample"
-        builds_oracle = samples or (args.command == "evaluate" and not args.test_set)
-        ev.load_scipy(cfg["samplers"] if samples else (),
-                      builds_oracle and cfg["oracle"].get("kind") == "classifier")
+        if (cells or args.command == "sample") and "gp" in cfg["samplers"]:
+            # loaded before the pin, which pins only the OpenBLAS copies mapped at its entry
+            from distrel import gp  # noqa: F401
         # the pins nested in this one leave BLAS alone: its threads restart once, at the end
         with _kernels.single_threaded_blas():
             return _COMMANDS[args.command](cfg, args)

@@ -16,8 +16,7 @@ drawn once, and so is each set's rain plan (the pixels every streak covers
 and their blend weights); both live in bounded caches of read-only arrays.
 
 The warp's degree-exact trig is ``scipy.special``'s, imported on the first
-warp; ``evaluation.load_scipy`` imports it before a run with an image oracle
-pins BLAS or forks.
+warp. It calls no BLAS, so it may load inside a BLAS pin.
 """
 
 import functools

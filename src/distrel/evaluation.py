@@ -301,29 +301,6 @@ def run_sampler(sampler, oracle, space, h, cfg: SamplerConfig) -> LabeledSet:
     return run_gp_sampling(oracle, space, h, cfg)
 
 
-def load_scipy(samplers, images: bool) -> None:
-    """Import the scipy modules a run will call: ``distrel.gp`` (scipy.linalg)
-    when ``samplers`` holds "gp", and scipy.special when ``images`` (an image
-    oracle warps). No other path needs scipy, so no other run loads it.
-
-    Call it before the run's outermost BLAS pin and before any fork. Both
-    modules map scipy's own OpenBLAS, which ``single_threaded_blas`` pins
-    only when it is mapped at the pin's entry; and a forked worker that
-    imports scipy itself pays for the import in every pool.
-    """
-    if "gp" in samplers:
-        from distrel import gp  # noqa: F401
-    if images:
-        import scipy.special  # noqa: F401
-
-
-def _is_image_oracle(oracle) -> bool:
-    """Whether ``oracle``, under any CachingOracle wrapping, warps images."""
-    while isinstance(oracle, oracles_mod.CachingOracle):
-        oracle = oracle.inner
-    return isinstance(oracle, oracles_mod.ClassifierOracle)
-
-
 _forked = None  # (fn, jobs) of a _map, set in each of its forked workers
 
 
@@ -428,7 +405,9 @@ def _experiment(oracle, space, budgets, h_values, options, grid, workers, config
     h_values = _check_thresholds(h_values)
     checked = [check_run_options(budget, options) for budget in budgets]
     sampler_cfg, opts = max(checked, key=lambda c: c[0].budget)
-    load_scipy(opts["samplers"], _is_image_oracle(oracle))
+    if "gp" in opts["samplers"]:
+        # loaded before the pin, which pins only the OpenBLAS copies mapped at its entry
+        from distrel import gp  # noqa: F401
     with single_threaded_blas():
         if grid is None:
             grid = build_grid_test_set(space, opts["points_per_dim"], oracle, h_values[0])

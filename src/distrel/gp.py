@@ -19,8 +19,9 @@ ones uniformly, and ``sampling.suggest_next`` keeps each later pick more than
 (``oracles.query`` and ``oracles.evaluate_many`` refuse any other answer).
 
 This is the one module that needs ``scipy.linalg``, and it imports it at
-the top. ``sampling`` imports this module only when the GP sampler runs, and
-``evaluation.load_scipy`` imports it before a run pins BLAS or forks.
+the top. ``sampling`` imports this module only when the GP sampler runs;
+``run_gp_sampling``, ``evaluation._experiment`` and ``cli.main`` import it
+before they pin BLAS or fork.
 """
 
 from dataclasses import dataclass

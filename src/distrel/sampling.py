@@ -22,7 +22,7 @@ stops a run with ``OracleError`` naming the level.
 
 ``distrel.gp``, and with it scipy, is imported by the GP sampler's functions
 when they first run, not with this module, so a random-only run never loads
-scipy. ``evaluation.load_scipy`` imports it before a run's BLAS pin and forks.
+scipy. ``run_gp_sampling`` imports it before its BLAS pin.
 """
 
 import math
@@ -308,6 +308,9 @@ def run_gp_sampling(oracle, space: SearchSpace, h: float, cfg: SamplerConfig) ->
     """
     if not 0.0 <= h <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {h}")
+    # loaded before the pin, which pins only the OpenBLAS copies mapped at its entry
+    from distrel import gp  # noqa: F401
+
     d = space.dim
     rng = np.random.default_rng(cfg.seed)
 

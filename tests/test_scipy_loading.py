@@ -1,5 +1,5 @@
-"""When scipy loads: only for the GP sampler and the image warp, and then in
-the parent process, before the outermost BLAS pin and before any fork.
+"""When scipy loads: only for the GP sampler and the image warp, and for the
+GP in the parent process, before the outermost BLAS pin and before any fork.
 
 Each check runs in a fresh interpreter: this process has had scipy loaded
 since collection, so it cannot see what a command loads or when.
@@ -87,6 +87,7 @@ import sys
 
 from distrel import _kernels, cli, evaluation
 from distrel.presets import benchmark_oracle_spec
+from distrel.sampling import SamplerConfig, run_gp_sampling
 
 mode, workers = sys.argv[1], int(sys.argv[2])
 loaded_at = []  # the thread counts of every copy just after distrel.gp loads
@@ -141,6 +142,10 @@ if mode == "sample":
     cli.build_oracle = lambda cfg: oracle
     argv = ["sample", "--config", "c.json", "--out", "s", "--workers", str(workers)]
     assert cli.main(argv) == 0
+elif mode == "run_gp_sampling":
+    # its initial draws are labelled before its pin, so only gp.fit is checked
+    cfg = SamplerConfig(budget=30, init_count=10, acquisition_candidates=64)
+    assert len(run_gp_sampling(spec, spec.space, 0.85, cfg).levels) == 30
 else:
     report = evaluation.run_experiment(
         oracle, spec.space, 0.85, budget=30, workers=workers, samplers=("gp",),
@@ -156,7 +161,8 @@ print("ok")
 
 
 @pytest.mark.parametrize("mode, workers", [("sample", 1), ("sample", 2),
-                                           ("run_experiment", 1), ("run_experiment", 2)])
+                                           ("run_experiment", 1), ("run_experiment", 2),
+                                           ("run_gp_sampling", 1)])
 def test_gp_runs_load_scipy_before_the_pin_and_the_fork(tmp_path, mode, workers):
     import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS in this process too)
 
