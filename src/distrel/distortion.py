@@ -8,15 +8,22 @@ counter-clockwise as displayed.
 
 ``distort_set`` is the one distortion path: it stacks a set of same-shape
 images into (n, H, W, C), runs each stage once over the whole stack and
-returns the distorted stack. Image i's rain streaks come from seed
-``rain_seed + i``. The streaks of a whole set depend only on the rain seed,
-the number of images, the streak count and the image size, never on the
-pixels or the other five coordinates. So each image's streak parameters are
-drawn once, and so is each set's rain plan (the pixels every streak covers
-and their blend weights); both live in bounded caches of read-only arrays.
+returns the distorted stack. The affine stage is ``warp_set``, which
+depends only on the first four coordinates. A caller that distorts one set
+at many levels sharing those four passes their warp to ``distort_set``
+(``warped=``), which then runs darkness, clip and rain on a copy of it, so
+each such level costs no warp and gives the same bits. Image i's rain
+streaks come from seed ``rain_seed + i``. The streaks of a whole set depend
+only on the rain seed, the number of images, the streak count and the image
+size, never on the pixels or the other five coordinates. So each image's
+streak parameters are drawn once, and so is each set's rain plan (the
+pixels every streak covers and their blend weights); both live in bounded
+caches of read-only arrays.
 
 The warp's degree-exact trig is ``scipy.special``'s, imported on the first
-warp. It calls no BLAS, so it may load inside a BLAS pin.
+warp. ``cosdg`` and ``sindg`` call no BLAS, but importing ``scipy.special``
+maps scipy's own OpenBLAS, and a copy mapped inside a BLAS pin keeps its
+default thread count (``_kernels.single_threaded_blas``).
 """
 
 import functools
@@ -154,7 +161,26 @@ def apply_distortion(img, level, rain_seed: int = 0) -> np.ndarray:
     return distort_set([img], level, rain_seed)[0]
 
 
-def distort_set(images, level, rain_seed: int = 0, check_pixels: bool = True):
+def _warp(stack, level) -> np.ndarray:
+    """The affine stage: a new (n, H, W, C) array of ``stack`` warped by the
+    level's scale, rotation and translation."""
+    height, width = stack.shape[1:3]
+    m00, m01, b0, m10, m11, b1 = _inverse_affine(width, height, *level[:4])
+    return _kernels.affine_bilinear_warp(stack, m00, m01, b0, m10, m11, b1, 0.0)
+
+
+def warp_set(images, level) -> np.ndarray:
+    """The affine stage alone, for ``distort_set(..., warped=)``.
+
+    Returns same-shape images warped by the level's first four coordinates,
+    as one new (n, H, W, C) array. The level is checked as ``distort_set``
+    checks it; the pixels are not.
+    """
+    return _warp(_as_stack(images), _SPACE.validate_level(level))
+
+
+def distort_set(images, level, rain_seed: int = 0, check_pixels: bool = True,
+                warped=None):
     """Distort same-shape images at one level in one pass over their stack.
 
     Image i uses rain seed ``rain_seed + i``. Returns the distorted images as
@@ -162,9 +188,15 @@ def distort_set(images, level, rain_seed: int = 0, check_pixels: bool = True):
     different shapes, or pixel values outside [0, 1], raise ``ValueError``.
     ``check_pixels=False`` skips the pixel check, for a stack whose range was
     checked once when it was built (``oracles.VerificationSet``).
+
+    ``warped``, when given, is ``warp_set(images, w)`` for a level ``w`` with
+    this level's scale, rotation and translation. The affine stage is then
+    skipped: the later stages run on a copy of ``warped``, which is left as
+    it was, so one warp serves many levels and the result is the same, bit
+    for bit.
     """
     level = _SPACE.validate_level(level)
-    scale, rotation, tx, ty, darkness, rain = level
+    darkness, rain = level[4:]
     if len(images) == 0:
         return []
     stack = _as_stack(images)
@@ -172,8 +204,7 @@ def distort_set(images, level, rain_seed: int = 0, check_pixels: bool = True):
         check_pixel_range(stack)
     n, height, width = stack.shape[:3]
 
-    m00, m01, b0, m10, m11, b1 = _inverse_affine(width, height, scale, rotation, tx, ty)
-    out = _kernels.affine_bilinear_warp(stack, m00, m01, b0, m10, m11, b1, 0.0)
+    out = _warp(stack, level) if warped is None else warped.copy()
 
     out *= darkness
     np.clip(out, 0.0, 1.0, out=out)

@@ -109,8 +109,11 @@ def build_grid_test_set(space: SearchSpace, points_per_dim: int, oracle, h: floa
 
     The answers come through ``oracles.evaluate_many``, so a failed or
     out-of-range answer raises OracleError naming its level, as in sampling.
-    BLAS stays on one thread meanwhile: an image classifier's small distance
-    products run several times slower on two threads of a small shared host.
+    The lattice is in C order, so a classifier oracle, which warps once per
+    run of levels sharing their first four coordinates, warps once per
+    ``points_per_dim ** 2`` levels. BLAS stays on one thread meanwhile: an
+    image classifier's small distance products run several times slower on
+    two threads of a small shared host.
     """
     levels = space.grid(points_per_dim)
     with single_threaded_blas():

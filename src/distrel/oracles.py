@@ -10,7 +10,10 @@ so an MNIST-style subsample can be dropped in.
 Every answer the samplers and the grid use comes through ``query`` (one
 level) or ``evaluate_many`` (a batch), which hold the oracle contract: an
 oracle that raises, or answers outside [0, 1] (NaN and infinities included),
-stops the caller with ``OracleError`` naming the level.
+stops the caller with ``OracleError`` naming the level. Every oracle here
+answers a batch in one ``evaluate_many`` call; the classifier oracle warps
+its images once per run of levels that share scale, rotation and
+translation.
 """
 
 import gzip
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from distrel import _kernels, files
-from distrel.distortion import check_pixel_range, distort_set, distortion_space
+from distrel.distortion import check_pixel_range, distort_set, distortion_space, warp_set
 from distrel.space import SearchSpace
 
 
@@ -327,12 +330,30 @@ class ClassifierOracle:
         self.rain_seed = rain_seed
         self.space = distortion_space()
 
-    def __call__(self, level) -> float:
-        distorted = distort_set(
-            self.verification.images, level, self.rain_seed, check_pixels=False
-        )
+    def __call__(self, level, warped=None) -> float:
+        distorted = distort_set(self.verification.images, level, self.rain_seed,
+                                check_pixels=False, warped=warped)
         preds = self.classifier.predict(distorted)
         return float(np.mean(preds == self.verification.labels))
+
+    def evaluate_many(self, levels) -> np.ndarray:
+        """The accuracy at each row of ``levels``.
+
+        The verification set is warped once per run of consecutive rows with
+        the same first four coordinates (bit for bit), and each row's later
+        stages run on a copy of that warp. So a batch holds one warped set
+        and one row's output at a time, and a ``space.grid`` batch, in C
+        order, warps once per ``points_per_dim ** 2`` rows.
+        """
+        levels = np.atleast_2d(np.asarray(levels, dtype=np.float64))
+        values = np.empty(len(levels))
+        run = warped = None
+        for i, level in enumerate(levels):
+            key = level[:4].tobytes()
+            if key != run:
+                run, warped = key, warp_set(self.verification.images, level)
+            values[i] = self(level, warped)
+        return values
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,24 @@ class TestDistortSet:
         a, b = distortion_space(), distortion_space()
         assert a is not b and a.lowers is not b.lowers
 
+    @pytest.mark.parametrize("channels", [(), (3,)], ids=["gray", "rgb"])
+    def test_shared_warp_gives_the_same_bits_and_stays_unchanged(self, channels):
+        # one warp serves levels that differ only in darkness and rain
+        imgs = np.random.default_rng(15).random((3, 11, 9, *channels))
+        warped = distortion.warp_set(imgs, level(1.2, 30.0, 0.1, -0.05, 0.8, 0.0))
+        before = warped.copy()
+        for darkness, rain in ((0.7, 1.0), (1.3, 0.0), (1.0, 0.6), (0.7, 1.0)):
+            lv = level(1.2, 30.0, 0.1, -0.05, darkness, rain)
+            got = distort_set(imgs, lv, rain_seed=4, warped=warped)
+            want = distort_set(imgs, lv, rain_seed=4)
+            assert got.shape == want.shape == imgs.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(warped.view(np.uint64), before.view(np.uint64))
+
+    def test_warp_set_checks_the_level(self):
+        with pytest.raises(ValueError, match="rotation=120 outside"):
+            distortion.warp_set([checkerboard(4, 4)], level(rotation=120.0))
+
     def test_deterministic(self):
         imgs = [checkerboard(10, 10, seed=i) for i in range(3)]
         lv = level(scale=1.1, rotation=15.0, rain=0.5)

@@ -1,4 +1,5 @@
 import gzip
+import json
 import struct
 
 import numpy as np
@@ -18,10 +19,12 @@ from distrel.oracles import (
     VerificationSet,
     _unit_ball_volume,
     caching_oracle,
+    evaluate_many,
     load_idx_images,
     load_idx_labels,
     load_idx_verification_set,
     make_blob_verification_set,
+    query,
     train_reference_classifier,
 )
 from distrel.presets import benchmark_oracle_spec, box_oracle_spec, multimodal_oracle_spec
@@ -278,6 +281,89 @@ class TestClassifierOracle:
         assert oracle(lv) == oracle(lv)
 
 
+def rgb_sets():
+    """Hand-built 3-channel verification and training sets of 8 x 8 images:
+    a bright 4 x 4 square on a dark ground, red for class 0, blue for 1."""
+    def make(n, seed):
+        rng = np.random.default_rng(seed)
+        images = np.full((n, 8, 8, 3), 0.1)
+        labels = np.arange(n) % 2
+        for img, y in zip(images, labels):
+            r, c = rng.integers(1, 4, 2)
+            img[r:r + 4, c:c + 4, 2 * y] = 0.9
+        images += rng.normal(0.0, 0.03, images.shape)
+        return VerificationSet(np.clip(images, 0.0, 1.0), labels, 2)
+
+    return make(8, 20), make(16, 21)
+
+
+# (verification set, training set) per image kind, and a classifier per
+# (image kind, classifier kind)
+BATCH_SETS = {
+    "gray": (make_blob_verification_set(8, 2, 10, seed=22),
+             make_blob_verification_set(24, 2, 10, seed=23)),
+    "rgb": rgb_sets(),
+}
+BATCH_CLASSIFIERS = {(images, kind): train_reference_classifier(train, kind)
+                     for images, (_, train) in BATCH_SETS.items()
+                     for kind in ("nearest-centroid", "k-nn")}
+GRID3 = distortion_space().grid(3)
+
+
+def coordinate(lo, hi):
+    return st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+
+
+def level_rows(dims):
+    """One row of the given DISTORTION_DIMS entries."""
+    return st.tuples(*(coordinate(lo, hi) for _, lo, hi in dims))
+
+
+@st.composite
+def oracle_batches(draw):
+    """Levels as a classifier oracle's batches hold them: slices of the 3^6
+    grid, isolated uniform levels, runs that share scale, rotation and
+    translation but differ in darkness and rain, and repeats of any of them."""
+    pieces = draw(st.lists(st.one_of(
+        st.tuples(st.integers(0, len(GRID3) - 1), st.integers(1, 12)).map(
+            lambda a: GRID3[a[0]:a[0] + a[1]]),
+        level_rows(DISTORTION_DIMS).map(lambda row: np.array([row])),
+        st.tuples(level_rows(DISTORTION_DIMS[:4]),
+                  st.lists(level_rows(DISTORTION_DIMS[4:]), min_size=2, max_size=4)).map(
+            lambda a: np.array([[*a[0], *rest] for rest in a[1]])),
+    ), min_size=1, max_size=4))
+    rows = np.vstack(pieces)
+    for _ in range(draw(st.integers(0, 3))):
+        source = draw(st.integers(0, len(rows) - 1))
+        rows = np.insert(rows, draw(st.integers(0, len(rows))), rows[source], axis=0)
+    return rows
+
+
+class TestClassifierOracleBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(images=st.sampled_from(sorted(BATCH_SETS)),
+           kind=st.sampled_from(["nearest-centroid", "k-nn"]),
+           rain_seed=st.integers(0, 2**31), levels=oracle_batches())
+    def test_batch_equals_level_by_level(self, images, kind, rain_seed, levels):
+        oracle = ClassifierOracle(BATCH_CLASSIFIERS[images, kind], BATCH_SETS[images][0],
+                                  rain_seed=rain_seed)
+        expected = [query(oracle, level) for level in levels]
+        got = oracle.evaluate_many(levels)
+        assert np.array_equal(got.view(np.uint64), np.array(expected).view(np.uint64))
+
+    def test_grid_warps_once_per_run_of_shared_affine_part(self, monkeypatch):
+        # the grid is in C order, so scale, rotation and translation stay fixed
+        # over runs of 3^2 rows: 81 warps for 729 levels
+        calls = []
+        warp = _kernels.affine_bilinear_warp
+        monkeypatch.setattr(_kernels, "affine_bilinear_warp",
+                            lambda *a: calls.append(a[1:7]) or warp(*a))
+        oracle = ClassifierOracle(BATCH_CLASSIFIERS["gray", "nearest-centroid"],
+                                  BATCH_SETS["gray"][0])
+        assert len(evaluate_many(oracle, GRID3)) == 729
+        assert len(calls) == 81 == len(set(calls))
+
+
 class TestCachingOracle:
     def test_repeat_query_hits_cache(self):
         calls = []
@@ -459,6 +545,38 @@ class TestOracleBoundary:
         with pytest.raises(OracleError) as err:
             BOUNDARY_RUNS[run](faulty(BOUNDARY_BUMP, level, bad))
         assert np.array_equal(err.value.level, level)
+
+    @pytest.mark.parametrize("dim", range(6))
+    @pytest.mark.parametrize("cached", [False, True], ids=["direct", "cached"])
+    def test_out_of_box_level_in_a_classifier_batch_is_named(self, dim, cached):
+        # the classifier oracle's batch raises; evaluate_many then queries the
+        # levels one by one and names the first that fails
+        oracle = ClassifierOracle(BATCH_CLASSIFIERS["gray", "k-nn"], BATCH_SETS["gray"][0])
+        if cached:
+            oracle = caching_oracle(oracle)
+        batch = GRID3[100:112].copy()
+        batch[7, dim] = DISTORTION_DIMS[dim][2] + 0.5
+        with pytest.raises(OracleError) as err:
+            evaluate_many(oracle, batch)
+        assert np.array_equal(err.value.level, batch[7])
+
+    def test_classifier_sweep_makes_no_extra_call(self, tmp_path):
+        # the grid's 3^6 levels, then 30 per sampler, less the 10 initial
+        # uniform draws that the GP sampler shares with the random one
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "config_version": 1,
+            "oracle": {"kind": "classifier", "rain_seed": 3, "dataset": {
+                "type": "blobs", "n_verification": 10, "n_train": 20, "size": 12}},
+            "h": 0.6, "budget": 30, "init_count": 10, "samplers": ["random", "gp"],
+            "methods": ["none"], "kinds": ["knn"], "seeds": [0], "points_per_dim": 3,
+            "acquisition_candidates": 64, "thresholds": [0.6, 0.75],
+        }))
+        out = tmp_path / "st"
+        assert cli.main(["sweep-threshold", "--config", str(path), "--out", str(out)]) == 0
+        audit = json.loads((out / "manifest.json").read_text())["audit"]
+        assert audit == {"oracle_calls_after_sampling": 779, "oracle_calls_after_sweep": 779,
+                         "extra_calls_during_sweep": 0}
 
     def test_batch_of_the_wrong_length_is_refused(self):
         class Short:
