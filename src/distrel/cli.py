@@ -77,6 +77,9 @@ _ORACLE_FIELDS = {
 }
 
 
+_THRESHOLD_REPORT = "report_h{:g}.json"
+
+
 class ConfigError(ValueError):
     """Invalid run configuration; maps to exit code 1."""
 
@@ -149,6 +152,12 @@ def resolve_config(raw: dict, overrides: dict = None) -> dict:
         or not all(_is_number(t) and 0 <= t <= 1 for t in cfg["thresholds"])
     ):
         _fail("thresholds", "must be a list of numbers in [0, 1]")
+    reports = {}
+    for h in cfg["thresholds"] or []:
+        name = _THRESHOLD_REPORT.format(h)
+        if name in reports:
+            _fail("thresholds", f"{reports[name]!r} and {h!r} would both write {name}")
+        reports[name] = h
 
     if cfg["space"] != "distortion" and (
         "preset" in cfg["oracle"] or cfg["oracle"]["kind"] == "classifier"
@@ -481,7 +490,7 @@ def cmd_sweep_threshold(cfg: dict, workers: int) -> int:
                                      config=_json_safe(cfg), workers=workers, **_run_options(cfg))
     ev.write_sweep_csv(out / "threshold_sweep.csv", rows, "h")
     for h, report in rows:
-        report.write_json(out / f"report_h{h:g}.json")
+        report.write_json(out / _THRESHOLD_REPORT.format(h))
     write_manifest(out, cfg, "sweep-threshold", {"thresholds": thresholds, "audit": audit})
     print(f"wrote {out / 'threshold_sweep.csv'}; "
           f"extra oracle calls during sweep: {audit['extra_calls_during_sweep']}")

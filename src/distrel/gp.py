@@ -10,7 +10,8 @@ The jitter is relative to the signal variance, so L factors the unit-variance
 matrix R + jitter * I: the mean does not depend on the signal variance and the
 variance scales with it, so the signal level can change without a refactor.
 ``append`` adds one input in O(n^2), one row of L and of L^-1 y (Rasmussen &
-Williams, 2006, Alg. 2.1).
+Williams, 2006, Alg. 2.1). ``_predict_raw`` alone turns a posterior and points
+into moments, for ``predict_batch`` and for the sampler's candidate pool.
 
 ``fit`` checks call shapes only. Its two data preconditions are each enforced
 once, where they can arise: inputs are distinct (the sampler draws its first
@@ -145,21 +146,14 @@ def append(gp: GpPosterior, point, value):
     )
 
 
-def whitened_cross(gp: GpPosterior, z: np.ndarray) -> np.ndarray:
-    """L^-1 R(inputs, z), shape (n, m): each column's norm squared is the
-    share of the signal variance that the inputs explain at that point."""
+def _predict_raw(gp: GpPosterior, z: np.ndarray) -> tuple:
+    """Unvalidated moments at each row of ``z`` (float64, C-contiguous (m, d)):
+    the mean, the unit variance 1 - |v|^2 (over the signal variance, not yet
+    clamped at 0) and V = L^-1 R(inputs, z), one column v per point."""
     r = _kernels.rbf_cross(gp.inputs, z, gp.kernel.lengthscales, 1.0)
     # solved as X L^T = R^T for X = V^T: R^T is already in BLAS's column order
-    return dtrsm(1.0, gp.chol, r.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
-
-
-def _predict_raw(gp: GpPosterior, z: np.ndarray) -> tuple:
-    """Unvalidated batch prediction; ``z`` must be float64, C-contiguous (m, d)."""
-    v = whitened_cross(gp, z)
-    mean = v.T @ gp.white
-    var = gp.kernel.signal_variance * (1.0 - np.einsum("ij,ij->j", v, v))
-    np.maximum(var, 0.0, out=var)
-    return mean, var
+    v = dtrsm(1.0, gp.chol, r.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
+    return v.T @ gp.white, 1.0 - np.einsum("ij,ij->j", v, v), v
 
 
 def predict_batch(gp: GpPosterior, points) -> tuple:
@@ -172,7 +166,8 @@ def predict_batch(gp: GpPosterior, points) -> tuple:
         raise ValueError(
             f"query dimension {z.shape[1]} != posterior dimension {gp.kernel.dim}"
         )
-    return _predict_raw(gp, np.ascontiguousarray(z))
+    mean, unit_var, _ = _predict_raw(gp, np.ascontiguousarray(z))
+    return mean, gp.kernel.signal_variance * np.maximum(unit_var, 0.0)
 
 
 def median_heuristic_lengthscales(points) -> np.ndarray:

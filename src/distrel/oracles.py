@@ -11,9 +11,9 @@ Every answer the samplers and the grid use comes through ``query`` (one
 level) or ``evaluate_many`` (a batch), which hold the oracle contract: an
 oracle that raises, or answers outside [0, 1] (NaN and infinities included),
 stops the caller with ``OracleError`` naming the level. Every oracle here
-answers a batch in one ``evaluate_many`` call; the classifier oracle warps
-its images once per run of levels that share scale, rotation and
-translation.
+answers a batch in one ``evaluate_many`` call; the classifier oracle answers
+one level as a batch of one, and warps (and so checks) its images once per
+run of levels that share scale, rotation and translation.
 """
 
 import gzip
@@ -183,8 +183,9 @@ class SyntheticOracleSpec:
 class VerificationSet:
     """Labeled images used to measure a classifier's accuracy.
 
-    The pixel range is checked here, once, so an oracle distorts the set on
-    every call without checking it again.
+    The pixel range is checked here, when the set is built, so a bad
+    dataset fails before any oracle call; ``distortion.warp_set`` checks it
+    again on each warp.
     """
 
     images: np.ndarray  # (n, H, W) or (n, H, W, 3), values in [0, 1]
@@ -320,6 +321,7 @@ class ClassifierOracle:
 
     The rain seed is fixed per oracle instance (image i always uses
     rain_seed + i), so the oracle is a deterministic function of the level.
+    ``oracle(level)`` is ``evaluate_many`` on a batch of one.
     """
 
     def __init__(self, classifier, verification: VerificationSet, rain_seed: int = 0):
@@ -330,11 +332,8 @@ class ClassifierOracle:
         self.rain_seed = rain_seed
         self.space = distortion_space()
 
-    def __call__(self, level, warped=None) -> float:
-        distorted = distort_set(self.verification.images, level, self.rain_seed,
-                                check_pixels=False, warped=warped)
-        preds = self.classifier.predict(distorted)
-        return float(np.mean(preds == self.verification.labels))
+    def __call__(self, level) -> float:
+        return float(self.evaluate_many([level])[0])
 
     def evaluate_many(self, levels) -> np.ndarray:
         """The accuracy at each row of ``levels``.
@@ -346,13 +345,15 @@ class ClassifierOracle:
         order, warps once per ``points_per_dim ** 2`` rows.
         """
         levels = np.atleast_2d(np.asarray(levels, dtype=np.float64))
+        images = self.verification.images
         values = np.empty(len(levels))
         run = warped = None
         for i, level in enumerate(levels):
             key = level[:4].tobytes()
             if key != run:
-                run, warped = key, warp_set(self.verification.images, level)
-            values[i] = self(level, warped)
+                run, warped = key, warp_set(images, level)
+            distorted = distort_set(images, level, self.rain_seed, warped=warped)
+            values[i] = np.mean(self.classifier.predict(distorted) == self.verification.labels)
         return values
 
 

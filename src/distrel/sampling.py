@@ -162,25 +162,23 @@ def _ucb(mean, var, h: float, beta: float, sign: float) -> np.ndarray:
 class _CandidatePool:
     """Uniform candidates of the unit cube and their moments under ``post``.
 
-    ``rows[:n, :size]`` holds V = L^-1 R(inputs, candidates) for the n inputs
-    of ``post``: a candidate's mean is its column dotted with L^-1 y, and its
-    variance the signal variance times 1 - |column|^2. ``add`` appends one row
-    to V, so each moment moves by one term: O(n m) per step, where scoring
-    afresh costs O(n^2 m). A taken candidate leaves the pool; the last one
-    moves into its column.
+    The mean, the unit variance and V = L^-1 R(inputs, candidates) start as
+    ``gp._predict_raw`` returns them, and ``rows[:n, :size]`` holds V for the
+    n inputs of ``post``. ``add`` appends one row to V, so each moment moves
+    by one term: O(n m) per step, where scoring afresh costs O(n^2 m). A
+    taken candidate leaves the pool; the last one moves into its column.
     """
 
     def __init__(self, post, candidates: np.ndarray, capacity: int):
+        # read off the module, so a wrapper set on gp._predict_raw sees every build
         from distrel import gp as gpmod
 
-        v = gpmod.whitened_cross(post, candidates)
+        self.mean, self.unit_var, v = gpmod._predict_raw(post, candidates)
         self.post = post
         self.z = candidates
         self.size = len(candidates)
         self.rows = np.empty((capacity, self.size))
         self.rows[: len(v)] = v
-        self.mean = v.T @ post.white
-        self.unit_var = 1.0 - np.einsum("ij,ij->j", v, v)
 
     def __len__(self) -> int:
         return self.size

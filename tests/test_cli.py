@@ -94,6 +94,18 @@ class TestValidation:
         assert "'budgets'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_thresholds_sharing_a_report_name_exit_1(self, tmp_path, capsys, monkeypatch):
+        # both would write report_h0.5.json, the second over the first
+        monkeypatch.setattr(cli, "build_oracle", lambda cfg: pytest.fail("oracle built"))
+        path = write_config(tmp_path, thresholds=[0.5, 0.5000001])
+        out = tmp_path / "o"
+        rc = main(["sweep-threshold", "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "0.5 and 0.5000001 would both write report_h0.5.json" in err
+        assert not out.exists()
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["pipeline", "--config"]) == 1
         assert "expected one argument" in capsys.readouterr().err

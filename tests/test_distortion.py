@@ -155,6 +155,8 @@ class TestDistortSet:
             distort_set([img], level())
         with pytest.raises(ValueError, match=r"pixel values must lie in \[0, 1\]"):
             apply_distortion(img, level())
+        with pytest.raises(ValueError, match=r"pixel values must lie in \[0, 1\]"):
+            distortion.warp_set([img], level())
 
     def test_rain_draws_are_cached_read_only(self):
         draws = distortion._rain_draws(3, 5, 16, 16)

@@ -317,6 +317,26 @@ class TestGpSampling:
         assert ls.n == 60
         assert len({tuple(level) for level in ls.levels.tolist()}) == 60
 
+    def test_every_pool_build_goes_through_gp_predict_raw(self, monkeypatch):
+        # the pool reads _predict_raw off the gp module at each refresh, so a
+        # wrapper installed there (as a profiler installs one) counts them all
+        from distrel import gp, sampling
+
+        calls = {"predict": 0, "refresh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gp, "_predict_raw", counted("predict", gp._predict_raw))
+        monkeypatch.setattr(sampling, "_refresh", counted("refresh", sampling._refresh))
+        space = unit_space(2)
+        cfg = SamplerConfig(budget=60, init_count=10, acquisition_candidates=128, seed=7)
+        run_gp_sampling(quadratic_bump_oracle(space), space, 0.5, cfg)
+        assert calls["predict"] == calls["refresh"] > 0
+
     def test_budget_prefix(self):
         # nothing but the loop's end depends on the budget, so a shorter run is a prefix
         space = unit_space(3)
